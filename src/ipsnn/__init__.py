@@ -3,9 +3,9 @@
 Library layout:
 
     core        neuron dynamics as a deterministic state machine
-    plasticity  learning masks and the two property banks
+    plasticity  learning masks, the two property banks, the optimizer pass
     objective   composite task loss with the homeostatic target
-    gradients   hand-rolled backprop through time, Adam, FD oracle
+    gradients   task loss and its backprop through time, Adam, FD oracle
     tasks       seeded generators for the four cognitive task families
     harness     sequential-task learning-to-learn driver and metrics
     modularity  multilayer community structure of correlation layers

@@ -10,15 +10,12 @@ speed. Community-structure analyses live in :mod:`ipsnn.modularity`.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import plasticity
-from .core import forward_trial
-from .gradients import AdamState, task_loss
-from .harness import ExperimentConfig, TrainState, run_inner_task
-from .plasticity import CandidateProperties
+from .gradients import task_loss
+from .harness import ExperimentConfig, TrainState, eval_recordings, run_inner_task
 
 N_BINS = 10
 
@@ -113,33 +110,18 @@ def bin_neurons(props, property_id: str) -> PropertyBins:
 def evaluate_task_loss(state: TrainState, task, config: ExperimentConfig,
                        lesion_mask: np.ndarray | None = None) -> float:
     """Noiseless composite loss of the carried model on a task."""
-    recordings = [
-        forward_trial(state.weights, state.configured.props, state.net,
-                      trial.inputs, rng=None, lesion_mask=lesion_mask,
-                      task_index=task.task_index, trial_index=i)
-        for i, trial in enumerate(task.trials)
-    ]
+    recordings = eval_recordings(state, task, lesion_mask)
     return task_loss(recordings, task, state.weights, config.loss_weights(),
                      state.sigma_h_sq, config.trial_reduction).total
 
 
 def _clone_state(state: TrainState, seed_tag: int) -> TrainState:
-    candidates = CandidateProperties(state.candidates.learnable_bank.copy(),
-                                     state.candidates.fixed_bank.copy())
-    configured = plasticity.configure(candidates, state.configured.mask,
-                                      provenance=state.configured.provenance)
-    adam = AdamState(lr=state.adam.lr, beta1=state.adam.beta1,
-                     beta2=state.adam.beta2, eps=state.adam.eps,
-                     lr_overrides=dict(state.adam.lr_overrides),
-                     step_count=state.adam.step_count,
-                     m=copy.deepcopy(state.adam.m),
-                     v=copy.deepcopy(state.adam.v))
+    """Independent copy of the state without its last recordings, with a
+    fresh noise generator per lesion run. One deep copy keeps the configured
+    view aliased to the copied banks."""
     rng = np.random.default_rng(
         np.random.SeedSequence([state.net.rng_seed, 5, seed_tag]))
-    return TrainState(net=replace(state.net), weights=state.weights.copy(),
-                      candidates=candidates, configured=configured, adam=adam,
-                      noise_rng=rng, sigma_h_sq=state.sigma_h_sq,
-                      last_mean_sq=state.last_mean_sq)
+    return copy.deepcopy(replace(state, noise_rng=rng, last_recordings=[]))
 
 
 def lesion_eval(state: TrainState, bins: PropertyBins, current_task, next_task,

@@ -27,7 +27,7 @@ The noise term is added outside the (1 - tau_s) factor by default;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,13 +115,6 @@ class NetworkWeights:
             raise ValueError("w_rec must be square over neurons")
         if self.w_out.shape[1] != n:
             raise ValueError("w_out columns must match n_neurons")
-
-    def copy(self) -> "NetworkWeights":
-        return NetworkWeights(
-            self.w_in.copy(), self.w_rec.copy(), self.w_out.copy(),
-            None if self.mask_in is None else self.mask_in.copy(),
-            None if self.mask_rec is None else self.mask_rec.copy(),
-        )
 
 
 @dataclass

@@ -100,8 +100,9 @@ def adjoint_trial(rec: TrialRecording, weights: NetworkWeights,
                   lesion_mask: np.ndarray | None = None) -> GradientSet:
     """Backpropagate upstream gradients on the readout and trace histories.
 
-    Returns parameter gradients for this trial only; regularizer terms and
-    learning-mask zeroing are applied by the callers that know about them.
+    Returns parameter gradients for this trial only. The weight gradients
+    are dense: ``task_gradients`` applies the branch masks, the regularizer
+    terms and the learning-mask zeroing once per task.
     """
     t_steps, n = rec.v.shape
     d = config.n_dendrites
@@ -170,8 +171,6 @@ def adjoint_trial(rec: TrialRecording, weights: NetworkWeights,
     if d > 0:
         grads.d_w_in += np.einsum("tnd,ti->dni", g_b_all, rec.inputs)
         grads.d_w_rec += np.einsum("tnd,ta->dna", g_b_all, trace_prev)
-        grads.d_w_in *= weights.mask_in
-        grads.d_w_rec *= weights.mask_rec
     else:
         grads.d_w_in += g_drive_all.T @ rec.inputs
         grads.d_w_rec += g_drive_all.T @ trace_prev
@@ -214,6 +213,7 @@ def task_gradients(recordings: list[TrialRecording], task,
                    ) -> tuple[objective.LossBreakdown, GradientSet]:
     """Loss breakdown and gradients of the composite loss over one task.
 
+    The weight gradients are masked to the branch-exclusive layout.
     ``learning_mask`` (a 3-bit plasticity mask) zeroes the gradients of the
     property groups it marks fixed.
     """
@@ -225,7 +225,7 @@ def task_gradients(recordings: list[TrialRecording], task,
     # Homeostatic upstream gradient: d|A - target|/dM with A pooled over
     # trials, steps, and units; subgradient 0 exactly at the target.
     pooled = n_trials * recordings[0].trace.size
-    mean_sq = float(np.mean(np.stack([r.trace for r in recordings]) ** 2))
+    mean_sq = objective.hidden_mean_square([r.trace for r in recordings])
     sign = np.sign(mean_sq - sigma_h_sq)
     homeo_coeff = loss_weights.lambda_h * sign * 2.0 / pooled
 
@@ -256,37 +256,6 @@ def task_gradients(recordings: list[TrialRecording], task,
     return breakdown, total.check_finite()
 
 
-def backward_trial(recording: TrialRecording, targets, weights: NetworkWeights,
-                   props: IntrinsicProperties, config: NetworkConfig,
-                   mode: DifferentiationMode,
-                   loss_weights: objective.LossWeights | None = None,
-                   sigma_h_sq: float = 0.0, kind: str = "MSE", schedule=None,
-                   label: int | None = None, learning_mask=None) -> GradientSet:
-    """Gradients of the composite loss for a task consisting of one trial."""
-    lw = loss_weights or objective.LossWeights()
-    _, g_y = objective.base_loss_grad(recording.readout, targets, kind,
-                                      schedule=schedule, label=label)
-    mean_sq = float(np.mean(recording.trace ** 2))
-    sign = np.sign(mean_sq - sigma_h_sq)
-    g_trace = lw.lambda_h * sign * 2.0 / recording.trace.size * recording.trace
-    grads = adjoint_trial(recording, weights, props, config, mode, g_y, g_trace)
-    grads.d_w_in += lw.lambda_in * 2.0 * weights.w_in / _reg_count(weights.w_in)
-    grads.d_w_rec += lw.lambda_rec * 2.0 * weights.w_rec / _reg_count(weights.w_rec)
-    grads.d_w_out += lw.lambda_out * 2.0 * weights.w_out / weights.w_out.size
-    if weights.mask_in is not None:
-        grads.d_w_in *= weights.mask_in
-        grads.d_w_rec *= weights.mask_rec
-    if learning_mask is not None:
-        m1, m2, m3 = learning_mask.as_tuple()
-        if not m1:
-            grads.d_tau_d[...] = 0.0
-        if not m2:
-            grads.d_tau_s[...] = 0.0
-        if not m3:
-            grads.d_theta[...] = 0.0
-    return grads.check_finite()
-
-
 def finite_difference_oracle(loss_fn, params: dict[str, np.ndarray],
                              h: float = 1e-5) -> dict[str, np.ndarray]:
     """Central-difference gradients, one coordinate at a time.
@@ -311,24 +280,13 @@ def finite_difference_oracle(loss_fn, params: dict[str, np.ndarray],
 
 
 @dataclass
-class PlainGradient:
-    """Bare gradient descent; mostly useful for hand-checkable updates."""
-
-    lr: float = 0.01
-
-    def step(self, name: str, param: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        return param - self.lr * grad
-
-
-@dataclass
 class AdamState:
-    """Adam with bias correction and one learning rate per parameter group."""
+    """Adam with bias correction; moments are kept per parameter group."""
 
     lr: float = 0.01
     beta1: float = 0.1
     beta2: float = 0.3
     eps: float = 1e-8
-    lr_overrides: dict = field(default_factory=dict)
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -355,12 +313,4 @@ class AdamState:
         v += (1.0 - self.beta2) * grad ** 2
         m_hat = m / (1.0 - self.beta1 ** self.step_count)
         v_hat = v / (1.0 - self.beta2 ** self.step_count)
-        lr = self.lr_overrides.get(name, self.lr)
-        return param - lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def adam_step(state: AdamState, grads: dict[str, np.ndarray],
-              params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """One optimizer step over a dict of parameter groups."""
-    state.tick()
-    return {name: state.step(name, params[name], grads[name]) for name in params}
+        return param - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -21,7 +21,7 @@ import numpy as np
 from . import plasticity, tensorio
 from .core import NetworkConfig, NetworkWeights, forward_trial, init_weights
 from .gradients import AdamState, DifferentiationMode, task_gradients, task_loss
-from .objective import LossWeights
+from .objective import LossWeights, hidden_mean_square
 from .plasticity import CandidateProperties, ConfiguredProperties, LearningMask
 from .tasks import TaskInstance, generate_task
 
@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ValueError("variant 'random-mask' needs mask_override")
         if self.n_tasks < 1:
             raise ValueError("n_tasks must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be positive")
         if self.min_iters > self.max_iters:
             raise ValueError("min_iters must not exceed max_iters")
         if self.threshold <= 0:
@@ -177,8 +179,7 @@ def build_state(config: ExperimentConfig) -> TrainState:
         fixed_bank=plasticity.default_fixed_bank(
             net, np.random.SeedSequence([config.seed, _SEED_FIXED])),
     )
-    configured = plasticity.configure(candidates, config.mask(),
-                                      provenance=config.family)
+    configured = plasticity.configure(candidates, config.mask())
     adam = AdamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2,
                      eps=config.adam_eps)
     noise_rng = np.random.default_rng(
@@ -200,8 +201,6 @@ def run_inner_task(state: TrainState, task: TaskInstance,
     lw = config.loss_weights()
     props = state.configured.props
     threshold = config.threshold
-    loss_value = float("nan")
-    recordings = []
     for iteration in range(1, config.max_iters + 1):
         recordings = [
             forward_trial(state.weights, props, state.net, trial.inputs,
@@ -217,34 +216,28 @@ def run_inner_task(state: TrainState, task: TaskInstance,
             return TaskOutcome(task.task_index, False, iteration, loss_value,
                                time.perf_counter() - t0,
                                error=f"non-finite loss at iteration {iteration}")
-        if iteration >= config.min_iters and loss_value < threshold:
-            state.last_mean_sq = float(
-                np.mean(np.stack([r.trace for r in recordings]) ** 2))
-            state.last_recordings = recordings
-            return TaskOutcome(task.task_index, True, iteration, loss_value,
-                               time.perf_counter() - t0)
+        converged = iteration >= config.min_iters and loss_value < threshold
+        if converged:
+            break
         _, grads = task_gradients(recordings, task, state.weights, props,
                                   state.net, mode, lw, state.sigma_h_sq,
                                   config.trial_reduction,
                                   learning_mask=state.configured.mask,
                                   lesion_mask=lesion_mask)
-        state.adam.tick()
-        state.weights.w_in = state.adam.step("w_in", state.weights.w_in, grads.d_w_in)
-        state.weights.w_rec = state.adam.step("w_rec", state.weights.w_rec, grads.d_w_rec)
-        state.weights.w_out = state.adam.step("w_out", state.weights.w_out, grads.d_w_out)
-        plasticity.apply_update(state.configured, grads, state.adam)
-    state.last_mean_sq = float(
-        np.mean(np.stack([r.trace for r in recordings]) ** 2))
+        plasticity.apply_update(state.weights, state.configured, grads, state.adam)
+    state.last_mean_sq = hidden_mean_square([r.trace for r in recordings])
     state.last_recordings = recordings
-    return TaskOutcome(task.task_index, False, config.max_iters, loss_value,
+    return TaskOutcome(task.task_index, converged, iteration, loss_value,
                        time.perf_counter() - t0)
 
 
-def _eval_recordings(state: TrainState, task: TaskInstance) -> list:
-    """Noiseless forward pass over a task's trials (analysis archives)."""
+def eval_recordings(state: TrainState, task: TaskInstance,
+                    lesion_mask: np.ndarray | None = None) -> list:
+    """Noiseless forward pass over a task's trials (analysis archives and
+    the lesion protocol's execution loss)."""
     return [forward_trial(state.weights, state.configured.props, state.net,
-                          trial.inputs, rng=None, task_index=task.task_index,
-                          trial_index=i)
+                          trial.inputs, rng=None, lesion_mask=lesion_mask,
+                          task_index=task.task_index, trial_index=i)
             for i, trial in enumerate(task.trials)]
 
 
@@ -279,6 +272,9 @@ def run_family(config: ExperimentConfig,
             outcome = run_inner_task(state, task, config)
             run.outcomes.append(outcome)
             run.sigma_history.append(state.sigma_h_sq)
+            # the homeostatic target follows this task's final activity; it moves
+            # before the checkpoint, which so holds the next task's target
+            state.sigma_h_sq = state.last_mean_sq
             log(f"task {i}: converged={outcome.converged} "
                 f"iters={outcome.iterations_used} loss={outcome.final_loss:.6g} "
                 f"wall={outcome.wall_time:.2f}s"
@@ -290,10 +286,8 @@ def run_family(config: ExperimentConfig,
                 if i % config.record_every == 0 or last_two:
                     tensorio.save_recording(
                         os.path.join(out_dir, "recordings", f"task_{i:06d}.rec"),
-                        _eval_recordings(state, task), i,
+                        eval_recordings(state, task), i,
                         {"family": config.family, "seed": config.seed})
-            # homeostatic target follows the previous task's converged activity
-            state.sigma_h_sq = state.last_mean_sq
             if outcome.converged:
                 consecutive_failures = 0
             else:
@@ -336,8 +330,7 @@ def state_from_checkpoint(path, config: ExperimentConfig) -> TrainState:
     """Rebuild a TrainState at a task boundary from a checkpoint file."""
     ckpt = tensorio.load_checkpoint(path)
     candidates = CandidateProperties(ckpt.learnable_bank, ckpt.fixed_bank)
-    configured = plasticity.configure(candidates, LearningMask(*ckpt.mask_bits),
-                                      provenance=ckpt.meta.get("family", ""))
+    configured = plasticity.configure(candidates, LearningMask(*ckpt.mask_bits))
     adam = AdamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2,
                      eps=config.adam_eps,
                      step_count=int(ckpt.meta.get("adam_step_count", 0)))

@@ -18,7 +18,7 @@ supra-modularity matrix, restarted over seeded node orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +49,6 @@ class LayeredNetwork:
     @property
     def n_nodes(self) -> int:
         return self.adjacency.shape[1]
-
-    def layer_strengths(self) -> np.ndarray:
-        """k_il, [L, n]."""
-        return self.adjacency.sum(axis=2)
 
     def total_coupling(self) -> float:
         """Sum of C_jlr over nodes and ordered layer pairs."""

@@ -142,9 +142,3 @@ def total_loss(base: float, homeostatic: float, reg_in: float, reg_rec: float,
              + weights.lambda_out * reg_out)
     return LossBreakdown(base=base, homeostatic=homeostatic, reg_in=reg_in,
                          reg_rec=reg_rec, reg_out=reg_out, total=total)
-
-
-def update_homeostatic_target(target: HomeostaticTarget,
-                              last_task_activity) -> HomeostaticTarget:
-    """Re-anchor the target to the previous task's converged mean squared activity."""
-    return HomeostaticTarget(sigma_h_sq=hidden_mean_square(last_task_activity))

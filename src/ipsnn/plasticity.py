@@ -3,8 +3,9 @@
 The slow outer level picks, once per task family, which of the three
 property groups (dendritic decay, somatic decay, threshold) are learnable;
 the chosen configuration is frozen for the whole sequential run. The fast
-inner level then fine-tunes only the learnable groups at every optimizer
-step, with decay factors projected back onto [0, 1].
+inner level then fine-tunes the learnable groups together with the synaptic
+weights in one optimizer pass per step, with decay factors projected back
+onto [0, 1].
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntrinsicProperties, NetworkConfig
+from .core import IntrinsicProperties, NetworkConfig, NetworkWeights
 
 FAMILIES = ("DMS", "CD-DMS", "GNG-DR-2", "GNG-DR-4")
 
@@ -46,9 +47,6 @@ class LearningMask:
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.m1, self.m2, self.m3)
 
-    def learnable(self, group: str) -> bool:
-        return bool(dict(zip(GROUP_NAMES, self.as_tuple()))[group])
-
 
 @dataclass
 class CandidateProperties:
@@ -68,7 +66,6 @@ class ConfiguredProperties:
 
     props: IntrinsicProperties
     mask: LearningMask
-    provenance: str = ""
 
 
 def mask_for_family(family) -> LearningMask:
@@ -84,8 +81,7 @@ def mask_for_family(family) -> LearningMask:
     return LearningMask(*vec)
 
 
-def configure(candidates: CandidateProperties, mask: LearningMask,
-              provenance: str = "") -> ConfiguredProperties:
+def configure(candidates: CandidateProperties, mask: LearningMask) -> ConfiguredProperties:
     """Select each property group from the bank its mask bit names.
 
     The returned view aliases the bank arrays, so inner-loop updates to a
@@ -98,32 +94,31 @@ def configure(candidates: CandidateProperties, mask: LearningMask,
         tau_s=src(mask.m2).tau_s,
         theta=src(mask.m3).theta,
     )
-    return ConfiguredProperties(props=props, mask=mask, provenance=provenance)
+    return ConfiguredProperties(props=props, mask=mask)
 
 
-def apply_update(configured: ConfiguredProperties, gradients, optimizer) -> ConfiguredProperties:
-    """One masked optimizer step on the learnable property groups.
+def apply_update(weights: NetworkWeights, configured: ConfiguredProperties,
+                 gradients, optimizer) -> None:
+    """One optimizer pass over the weights and the learnable property groups.
 
-    Fixed groups are left bit-unchanged (their gradients are zero by
-    construction); decay-factor groups are clamped back to [0, 1] after the
+    Ticks the optimizer once, then steps ``w_in``, ``w_rec``, ``w_out`` and
+    every group the mask marks learnable, in place. Fixed groups are left
+    bit-unchanged; decay-factor groups are clamped back to [0, 1] after the
     step, thresholds are left free.
     """
-    mask = configured.mask
-    props = configured.props
-    grads = {"tau_d": gradients.d_tau_d, "tau_s": gradients.d_tau_s,
-             "theta": gradients.d_theta}
-    for group, bit in zip(GROUP_NAMES, mask.as_tuple()):
-        if not bit:
-            continue
-        arr = getattr(props, group)
-        g = grads[group]
+    params = {name: getattr(weights, name) for name in ("w_in", "w_rec", "w_out")}
+    for group, bit in zip(GROUP_NAMES, configured.mask.as_tuple()):
+        if bit:
+            params[group] = getattr(configured.props, group)
+    optimizer.tick()
+    for name, arr in params.items():
+        g = getattr(gradients, "d_" + name)
         if g.shape != arr.shape:
-            raise ValueError(f"{group}: gradient/parameter layout mismatch")
-        new = optimizer.step(group, arr, g)
-        if group in ("tau_d", "tau_s"):
+            raise ValueError(f"{name}: gradient/parameter layout mismatch")
+        new = optimizer.step(name, arr, g)
+        if name in ("tau_d", "tau_s"):
             np.clip(new, 0.0, 1.0, out=new)
         arr[...] = new
-    return configured
 
 
 def default_fixed_bank(config: NetworkConfig, seed) -> IntrinsicProperties:

@@ -9,13 +9,14 @@ Layout::
     <raw bytes>
 
 The payload is the concatenation of each declared tensor as little-endian
-64-bit floats in C order. Scalars declare an empty shape (``tensor x -``).
+64-bit floats in C order; nothing follows it. Scalars declare an empty shape (``tensor x -``).
 Round-trips are bit-exact, which checkpointing and fixture sharing rely on.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -54,40 +55,51 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None)
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a container back as (tensors, meta)."""
+    """Read a container back as (tensors, meta).
+
+    A malformed container (bad magic or header, truncated payload, trailing
+    bytes) raises a ValueError that names the path.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    nl = blob.index(b"\n")
-    if blob[:nl].decode("utf-8") != MAGIC:
-        raise ValueError(f"{path}: not an ipsnn tensor container")
+    try:
+        return _parse_container(blob)
+    except ValueError as err:  # includes JSON and UTF-8 decode errors
+        raise ValueError(f"{path}: malformed tensor container: {err}") from err
+
+
+def _parse_container(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
+    magic = MAGIC.encode("utf-8") + b"\n"
+    if not blob.startswith(magic):
+        raise ValueError("not an ipsnn tensor container")
+    head_end = blob.find(b"\nend\n", len(magic) - 1)
+    if head_end < 0:
+        raise ValueError("header has no end line")
+    header = blob[len(magic):head_end].decode("utf-8")
     meta: dict = {}
     decls: list[tuple[str, tuple[int, ...]]] = []
-    pos = nl + 1
-    while True:
-        nl = blob.index(b"\n", pos)
-        line = blob[pos:nl].decode("utf-8")
-        pos = nl + 1
-        if line == "end":
-            break
-        kind, rest = line.split(" ", 1)
+    for line in header.split("\n") if header else []:
+        kind, name, value = line.split(" ", 2)
         if kind == "meta":
-            key, value = rest.split(" ", 1)
-            meta[key] = json.loads(value)
+            meta[name] = json.loads(value)
         elif kind == "tensor":
-            name, shape_s = rest.split(" ")
-            shape = () if shape_s == "-" else tuple(int(s) for s in shape_s.split(","))
+            shape = () if value == "-" else tuple(int(s) for s in value.split(","))
+            if any(s < 0 for s in shape):
+                raise ValueError(f"negative dimension in tensor {name!r}")
             decls.append((name, shape))
         else:
-            raise ValueError(f"{path}: unknown header line {line!r}")
+            raise ValueError(f"unknown header line {line!r}")
     tensors = {}
+    pos = head_end + len(b"\nend\n")
     for name, shape in decls:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 8
+        nbytes = 8 * math.prod(shape)
+        if pos + nbytes > len(blob):
+            raise ValueError(f"truncated payload at tensor {name!r}")
         arr = np.frombuffer(blob[pos:pos + nbytes], dtype="<f8").copy()
-        if arr.size != count:
-            raise ValueError(f"{path}: truncated payload at tensor {name!r}")
+        tensors[name] = arr.reshape(shape)
         pos += nbytes
-        tensors[name] = arr.reshape(shape) if shape else arr.reshape(())
+    if pos != len(blob):
+        raise ValueError(f"{len(blob) - pos} trailing bytes after the last tensor")
     return tensors, meta
 
 

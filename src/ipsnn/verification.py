@@ -12,13 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import objective
-from .core import (NetworkConfig, NetworkWeights, forward_trial, init_state,
-                   init_weights, noise_step)
-from .gradients import (DifferentiationMode, backward_trial,
-                        finite_difference_oracle, _reg_count)
-from .core import IntrinsicProperties
+from .core import (IntrinsicProperties, NetworkConfig, NetworkWeights,
+                   forward_trial, init_state, init_weights, noise_step)
+from .gradients import (DifferentiationMode, finite_difference_oracle,
+                        task_gradients, task_loss)
 from .modularity import CommunityAssignment, LayeredNetwork, louvain_optimize
-from .tasks import PeriodSchedule, TaskFamilySpec, generate_task
+from .tasks import (PeriodSchedule, TaskFamilySpec, TaskInstance, Trial,
+                    generate_task)
 from .plasticity import FAMILIES
 
 
@@ -51,6 +51,15 @@ def _random_setup(seed: int, n_neurons: int, t_steps: int, in_dim: int,
     return config, weights, props, inputs, targets, noise
 
 
+def one_trial_task(inputs: np.ndarray, targets: np.ndarray) -> TaskInstance:
+    """A task of one MSE trial around given [T, in] inputs and [T, out]
+    targets. It has no period schedule: the MSE loss does not use one."""
+    spec = TaskFamilySpec("one-trial", inputs.shape[1], 0, targets.shape[1],
+                          "MSE", fixation_dim=0, trials_per_task=1)
+    return TaskInstance("one-trial", 0, 0, None, spec,
+                        [Trial(inputs=inputs, targets=targets, label=0)])
+
+
 def gradient_check(seed: int, n_neurons: int = 8, t_steps: int = 30,
                    in_dim: int = 3, out_dim: int = 3, dendritic: bool = True,
                    smooth_width: float = 1.0, h: float = 1e-5) -> float:
@@ -63,11 +72,11 @@ def gradient_check(seed: int, n_neurons: int = 8, t_steps: int = 30,
         seed, n_neurons, t_steps, in_dim, out_dim, dendritic)
     lw = objective.LossWeights()
     mode = DifferentiationMode("smooth", smooth_width)
+    task = one_trial_task(inputs, targets)
 
     rec = forward_trial(weights, props, config, inputs, spike_mode="smooth",
                         smooth_width=smooth_width, noise_values=noise)
-    grads = backward_trial(rec, targets, weights, props, config, mode,
-                           loss_weights=lw, kind="MSE")
+    _, grads = task_gradients([rec], task, weights, props, config, mode, lw, 0.0)
     analytic = {"w_in": grads.d_w_in, "w_rec": grads.d_w_rec,
                 "w_out": grads.d_w_out, "tau_d": grads.d_tau_d,
                 "tau_s": grads.d_tau_s, "theta": grads.d_theta}
@@ -82,12 +91,7 @@ def gradient_check(seed: int, n_neurons: int = 8, t_steps: int = 30,
         p = IntrinsicProperties(params["tau_d"], params["tau_s"], params["theta"])
         r = forward_trial(w, p, config, inputs, spike_mode="smooth",
                           smooth_width=smooth_width, noise_values=noise)
-        return (objective.base_loss(r.readout, targets, "MSE")
-                + lw.lambda_h * objective.homeostatic_loss(
-                    r.trace, objective.HomeostaticTarget(0.0))
-                + lw.lambda_in * objective.weight_regularizer(w.w_in, _reg_count(w.w_in))
-                + lw.lambda_rec * objective.weight_regularizer(w.w_rec, _reg_count(w.w_rec))
-                + lw.lambda_out * objective.weight_regularizer(w.w_out))
+        return task_loss([r], task, w, lw, 0.0).total
 
     params = {"w_in": weights.w_in.copy(), "w_rec": weights.w_rec.copy(),
               "w_out": weights.w_out.copy(), "tau_d": props.tau_d.copy(),

@@ -6,13 +6,12 @@ import pytest
 from ipsnn.core import (IntrinsicProperties, NetworkConfig, forward_trial,
                         init_weights)
 from ipsnn.gradients import (AdamState, DifferentiationMode, GradientError,
-                             adam_step, backward_trial,
                              finite_difference_oracle,
                              surrogate_spike_derivative, task_gradients)
 from ipsnn.objective import LossWeights
 from ipsnn.plasticity import LearningMask
 from ipsnn.tasks import generate_task
-from ipsnn.verification import gradient_check
+from ipsnn.verification import gradient_check, one_trial_task
 
 
 class TestSurrogate:
@@ -49,7 +48,18 @@ class TestFiniteDifferenceOracle:
         assert np.all(got["x"] == 0.0)
 
 
+def one_trial_gradients(rec, inputs, targets, weights, props, config, mode,
+                        loss_weights=None, learning_mask=None):
+    """``task_gradients`` of a task consisting of one MSE trial."""
+    _, grads = task_gradients([rec], one_trial_task(inputs, targets), weights,
+                              props, config, mode, loss_weights or LossWeights(),
+                              0.0, learning_mask=learning_mask)
+    return grads
+
+
 class TestBackwardTrial:
+    """Gradients of one-trial tasks through ``task_gradients``."""
+
     def _setup(self, seed=0, mode="smooth", n=4, t=20):
         cfg = NetworkConfig(n_neurons=n, n_dendrites=2, noise_enabled=False)
         w = init_weights(cfg, 2, 2, seed=seed)
@@ -69,8 +79,9 @@ class TestBackwardTrial:
         w.w_out[...] = 0.0
         rec = forward_trial(w, props, cfg, x, spike_mode="smooth")
         lw = LossWeights(lambda_h=0.0)
-        grads = backward_trial(rec, np.zeros_like(rec.readout), w, props, cfg,
-                               DifferentiationMode("smooth"), loss_weights=lw)
+        grads = one_trial_gradients(rec, x, np.zeros_like(rec.readout), w,
+                                    props, cfg, DifferentiationMode("smooth"),
+                                    loss_weights=lw)
         assert np.all(grads.d_tau_s == 0.0)
         assert np.all(grads.d_theta == 0.0)
         assert np.all(grads.d_w_out == 0.0)  # reg term is zero at w_out = 0
@@ -81,17 +92,17 @@ class TestBackwardTrial:
     def test_deterministic(self):
         cfg, w, props, x, tgt, rec = self._setup(seed=3)
         mode = DifferentiationMode("smooth")
-        a = backward_trial(rec, tgt, w, props, cfg, mode)
-        b = backward_trial(rec, tgt, w, props, cfg, mode)
+        a = one_trial_gradients(rec, x, tgt, w, props, cfg, mode)
+        b = one_trial_gradients(rec, x, tgt, w, props, cfg, mode)
         for name in ("d_w_in", "d_w_rec", "d_w_out", "d_tau_d", "d_tau_s",
                      "d_theta"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_learning_mask_zeroes_groups(self):
         cfg, w, props, x, tgt, rec = self._setup(seed=1, mode="surrogate")
-        grads = backward_trial(rec, tgt, w, props, cfg,
-                               DifferentiationMode("surrogate"),
-                               learning_mask=LearningMask(1, 0, 0))
+        grads = one_trial_gradients(rec, x, tgt, w, props, cfg,
+                                    DifferentiationMode("surrogate"),
+                                    learning_mask=LearningMask(1, 0, 0))
         assert np.all(grads.d_tau_s == 0.0)
         assert np.all(grads.d_theta == 0.0)
         assert np.any(grads.d_w_in != 0.0)
@@ -100,8 +111,8 @@ class TestBackwardTrial:
         cfg, w, props, x, tgt, rec = self._setup(seed=2)
         rec.trace[5, 1] = np.nan
         with pytest.raises(GradientError) as err:
-            backward_trial(rec, tgt, w, props, cfg,
-                           DifferentiationMode("smooth"))
+            one_trial_gradients(rec, x, tgt, w, props, cfg,
+                                DifferentiationMode("smooth"))
         assert err.value.param_name in ("w_in", "w_rec", "w_out", "tau_d",
                                         "tau_s", "theta")
 
@@ -123,8 +134,8 @@ class TestBackwardTrial:
 
     def test_masked_weights_receive_no_gradient(self):
         cfg, w, props, x, tgt, rec = self._setup(seed=7)
-        grads = backward_trial(rec, tgt, w, props, cfg,
-                               DifferentiationMode("smooth"))
+        grads = one_trial_gradients(rec, x, tgt, w, props, cfg,
+                                    DifferentiationMode("smooth"))
         assert np.all(grads.d_w_in[w.mask_in == 0.0] == 0.0)
         assert np.all(grads.d_w_rec[w.mask_rec == 0.0] == 0.0)
 
@@ -133,25 +144,17 @@ class TestAdam:
     def test_first_step_hand_value(self):
         # g=1, lr=0.01, b1=0.1, b2=0.3: bias-corrected m=v=1 -> step ~ lr
         state = AdamState(lr=0.01, beta1=0.1, beta2=0.3, eps=1e-8)
-        params = {"p": np.array([1.0])}
-        grads = {"p": np.array([1.0])}
-        out = adam_step(state, grads, params)
-        assert out["p"][0] == pytest.approx(1.0 - 0.01, abs=1e-9)
+        state.tick()
+        out = state.step("p", np.array([1.0]), np.array([1.0]))
+        assert out[0] == pytest.approx(1.0 - 0.01, abs=1e-9)
         assert state.step_count == 1
 
     def test_zero_gradient_is_noop(self):
         state = AdamState()
-        params = {"p": np.array([0.3, -0.2])}
-        out = adam_step(state, {"p": np.zeros(2)}, params)
-        assert np.array_equal(out["p"], params["p"])
-
-    def test_per_group_learning_rates(self):
-        state = AdamState(lr=0.01, lr_overrides={"b": 0.1})
-        params = {"a": np.array([0.0]), "b": np.array([0.0])}
-        grads = {"a": np.array([1.0]), "b": np.array([1.0])}
-        out = adam_step(state, grads, params)
-        assert out["a"][0] == pytest.approx(-0.01, abs=1e-9)
-        assert out["b"][0] == pytest.approx(-0.1, abs=1e-8)
+        param = np.array([0.3, -0.2])
+        state.tick()
+        out = state.step("p", param, np.zeros(2))
+        assert np.array_equal(out, param)
 
     def test_requires_tick(self):
         state = AdamState()

@@ -8,7 +8,7 @@ from ipsnn.harness import (ExperimentConfig, TaskOutcome, build_state,
                            run_inner_task, state_from_checkpoint)
 from ipsnn.core import forward_trial
 from ipsnn.tasks import generate_task
-from ipsnn.tensorio import load_recording
+from ipsnn.tensorio import load_checkpoint, load_recording
 
 
 def tiny(**kw):
@@ -163,6 +163,20 @@ class TestCheckpointResume:
             tmp_path / "run" / "recordings" / "task_000001.rec")
         assert np.array_equal(rec.readout, trials[0]["readout"])
         assert np.array_equal(rec.v, trials[0]["v"])
+
+    def test_checkpoint_carries_next_task_target(self, tmp_path):
+        # pinned budget; strong gains make every task's trace energy nonzero
+        config = tiny(n_tasks=4, max_iters=3, min_iters=3,
+                      convergence_threshold=1e-12, early_stop_failures=5,
+                      gain_in=30.0, gain_rec=5.0, checkpoint_every=1,
+                      output_dir=str(tmp_path / "run"))
+        _, run = run_family(config)
+        assert len(set(run.sigma_history)) == 4  # targets differ task to task
+        for k in range(3):
+            path = tmp_path / "run" / "checkpoints" / f"task_{k:06d}.ckpt"
+            assert load_checkpoint(path).sigma_h_sq == run.sigma_history[k + 1]
+            restored = state_from_checkpoint(path, config)
+            assert restored.sigma_h_sq == run.sigma_history[k + 1]
 
 
 class TestComputeMetrics:

@@ -1,11 +1,11 @@
-"""Composite loss components and the homeostatic target rule."""
+"""Composite loss components and the homeostatic target."""
 
 import numpy as np
 import pytest
 
 from ipsnn.objective import (HomeostaticTarget, LossWeights, base_loss,
                              base_loss_grad, homeostatic_loss, total_loss,
-                             update_homeostatic_target, weight_regularizer)
+                             weight_regularizer)
 from ipsnn.tasks import PeriodSchedule
 
 
@@ -143,14 +143,3 @@ class TestTotalLoss:
 class TestHomeostaticUpdate:
     def test_starts_at_zero(self):
         assert HomeostaticTarget().sigma_h_sq == 0.0
-
-    def test_updates_to_previous_activity(self):
-        h = np.full((2, 10), 0.2)  # mean square = 0.04
-        tgt = update_homeostatic_target(HomeostaticTarget(0.0), h)
-        assert tgt.sigma_h_sq == pytest.approx(0.04)
-
-    def test_identical_tasks_identical_targets(self):
-        h = np.random.default_rng(0).uniform(size=(3, 9))
-        a = update_homeostatic_target(HomeostaticTarget(0.0), h)
-        b = update_homeostatic_target(HomeostaticTarget(0.5), h)
-        assert a.sigma_h_sq == b.sigma_h_sq

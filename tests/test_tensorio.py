@@ -1,5 +1,7 @@
 """Tensor container format, checkpoints, and fixture export."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,49 @@ class TestContainer:
         path = tmp_path / "t.tens"
         save_tensors(path, {"a": np.ones(1)})
         assert [p.name for p in tmp_path.iterdir()] == ["t.tens"]
+
+
+class TestMalformedContainer:
+    """Every malformed container fails with a ValueError naming its path."""
+
+    @pytest.fixture
+    def blob(self, tmp_path):
+        path = tmp_path / "good.tens"
+        save_tensors(path, {"a": np.arange(6.0).reshape(2, 3),
+                            "s": np.float64(2.5), "e": np.zeros((0, 2))},
+                     {"kind": "x", "note": "caf\u00e9", "k": [1, 2]})
+        return path.read_bytes()
+
+    def _rejects(self, path, data: bytes, match: str = ""):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + match):
+            load_tensors(path)
+
+    def test_truncation_at_every_offset(self, tmp_path, blob):
+        for cut in range(len(blob)):
+            self._rejects(tmp_path / "bad.tens", blob[:cut])
+
+    def test_trailing_bytes_rejected(self, tmp_path, blob):
+        self._rejects(tmp_path / "bad.tens", blob + b"\x00", "trailing")
+
+    def test_negative_dimension_rejected(self, tmp_path, blob):
+        assert b"tensor a 2,3\n" in blob
+        self._rejects(tmp_path / "bad.tens",
+                      blob.replace(b"tensor a 2,3\n", b"tensor a -2,-3\n"),
+                      "negative")
+
+    def test_random_byte_flips_load_or_name_path(self, tmp_path, blob):
+        rng = np.random.default_rng(2024)
+        path = tmp_path / "flipped.tens"
+        for _ in range(2000):
+            data = bytearray(blob)
+            for pos in rng.integers(0, len(data), size=rng.integers(1, 4)):
+                data[pos] = int(rng.integers(0, 256))
+            path.write_bytes(bytes(data))
+            try:
+                load_tensors(path)
+            except ValueError as err:
+                assert str(path) in str(err)
 
 
 class TestCheckpoint:
