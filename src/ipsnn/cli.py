@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -25,14 +25,9 @@ from .plasticity import FAMILIES
 from .tasks import PeriodSchedule, generate_task
 
 REQUIRED_CONFIG_KEYS = ("family", "convergence_threshold")
-_CONFIG_FIELDS = None
-
-
-def _config_fields():
-    global _CONFIG_FIELDS
-    if _CONFIG_FIELDS is None:
-        _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
-    return _CONFIG_FIELDS
+# settings that no longer exist; run directories written before their
+# removal hold them at their only supported value, false
+RETIRED_CONFIG_KEYS = ("noise_scaled_by_leak", "reset_passthrough")
 
 
 class ConfigError(Exception):
@@ -52,7 +47,10 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     for key in REQUIRED_CONFIG_KEYS:
         if key not in raw:
             raise ConfigError(f"missing required config key: {key}")
-    unknown = set(raw) - _config_fields()
+    for key in RETIRED_CONFIG_KEYS:
+        if raw.pop(key, False) is not False:
+            raise ConfigError(f"retired config key {key} must be false or absent")
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     merged = dict(raw)
@@ -78,12 +76,8 @@ def _execute_run(config: ExperimentConfig, run_dir: str,
     os.makedirs(run_dir, exist_ok=True)
     config.output_dir = run_dir
     # keep the exact resolved configuration next to the artifacts
-    resolved = {f.name: getattr(config, f.name) for f in fields(ExperimentConfig)}
-    resolved["mask_override"] = (list(config.mask_override)
-                                 if config.mask_override else None)
-    resolved["output_dir"] = run_dir
     with open(os.path.join(run_dir, manifest.CONFIG_COPY_NAME), "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
+        json.dump(asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     try:

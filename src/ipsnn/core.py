@@ -21,8 +21,8 @@ where the trace update consumes the *previous* step's spikes, matching the
     M(t)   = alpha M(t-1) + (1 - alpha) S(t-1)
     y(t)   = W_out M(t)
 
-The noise term is added outside the (1 - tau_s) factor by default;
-``noise_scaled_by_leak=True`` selects the alternative placement inside it.
+The noise term is added outside the (1 - tau_s) factor. A trial starts
+from V = v_reset with every other state variable at zero.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class NetworkConfig:
     v_reset: float = 0.0
     noise_enabled: bool = True
     rng_seed: int = 0
-    noise_scaled_by_leak: bool = False
 
     def __post_init__(self):
         if self.n_neurons < 1:
@@ -138,17 +137,6 @@ class IntrinsicProperties:
 
 
 @dataclass
-class NeuronState:
-    """Mutable network state at one timestep."""
-
-    v: np.ndarray        # [n] somatic membrane potentials (post-reset)
-    v_d: np.ndarray      # [n, D] dendritic potentials
-    noise: np.ndarray    # [n] OU noise values
-    spikes: np.ndarray   # [n] binary spike indicators
-    trace: np.ndarray    # [n] spike traces
-
-
-@dataclass
 class TrialRecording:
     """Per-timestep history of one trial, indexed t = 0..T-1 for steps 1..T.
 
@@ -156,36 +144,21 @@ class TrialRecording:
     threshold saw); the post-reset potential is recomputable from ``v`` and
     ``spikes_internal``. ``spikes`` are the emitted spikes (zero for silenced
     neurons), ``spikes_internal`` the threshold crossings that drive the
-    reset. ``noise`` stores the realized noise term so a recording replays
-    and differentiates without the RNG.
+    reset. The noise term is not stored: it enters the soma outside the
+    leak factor, so the adjoint pass needs only ``v`` and the drive.
     """
 
     inputs: np.ndarray            # [T, in_dim]
     v: np.ndarray                 # [T, n]
     v_d: np.ndarray               # [T, n, D]
-    noise: np.ndarray             # [T, n]
     spikes: np.ndarray            # [T, n]
     spikes_internal: np.ndarray   # [T, n]
     trace: np.ndarray             # [T, n]
     readout: np.ndarray           # [T, out_dim]
-    task_index: int = 0
-    trial_index: int = 0
 
     @property
     def n_steps(self) -> int:
         return self.v.shape[0]
-
-
-def init_state(config: NetworkConfig) -> NeuronState:
-    """Fresh state: v at the reset potential, everything else zero."""
-    n, d = config.n_neurons, config.n_dendrites
-    return NeuronState(
-        v=np.full(n, config.v_reset, dtype=np.float64),
-        v_d=np.zeros((n, d), dtype=np.float64),
-        noise=np.zeros(n, dtype=np.float64),
-        spikes=np.zeros(n, dtype=np.float64),
-        trace=np.zeros(n, dtype=np.float64),
-    )
 
 
 def init_weights(config: NetworkConfig, in_dim: int, out_dim: int, seed,
@@ -255,8 +228,6 @@ def direct_drive(x_in: np.ndarray, trace_prev: np.ndarray,
 def soma_step(v: np.ndarray, drive: np.ndarray, noise: np.ndarray,
               props: IntrinsicProperties, config: NetworkConfig) -> np.ndarray:
     """Leaky somatic integration of the drive plus the noise term."""
-    if config.noise_scaled_by_leak:
-        return props.tau_s * v + (1.0 - props.tau_s) * (drive + noise)
     return props.tau_s * v + (1.0 - props.tau_s) * drive + noise
 
 
@@ -288,8 +259,7 @@ def forward_trial(weights: NetworkWeights, props: IntrinsicProperties,
                   rng: np.random.Generator | None = None,
                   *, spike_mode: str = "hard", smooth_width: float = 1.0,
                   lesion_mask: np.ndarray | None = None,
-                  noise_values: np.ndarray | None = None,
-                  task_index: int = 0, trial_index: int = 0) -> TrialRecording:
+                  noise_values: np.ndarray | None = None) -> TrialRecording:
     """Run one trial from a fresh state and record the full history.
 
     Noise draws come from ``rng`` when ``config.noise_enabled`` (or from
@@ -326,17 +296,15 @@ def forward_trial(weights: NetworkWeights, props: IntrinsicProperties,
         inputs=x,
         v=np.empty((t_steps, n)),
         v_d=np.empty((t_steps, n, d)),
-        noise=np.empty((t_steps, n)),
         spikes=np.empty((t_steps, n)),
         spikes_internal=np.empty((t_steps, n)),
         trace=np.empty((t_steps, n)),
         readout=np.empty((t_steps, weights.out_dim)),
-        task_index=task_index, trial_index=trial_index,
     )
 
-    state = init_state(config)
-    v_post, noise, trace, spikes_prev = state.v, state.noise, state.trace, state.spikes
-    v_d = state.v_d
+    v_post = np.full(n, config.v_reset, dtype=np.float64)
+    v_d = np.zeros((n, d))
+    noise = trace = spikes_prev = np.zeros(n)  # replaced, never written in place
     lesioned = None
     if lesion_mask is not None:
         lesioned = np.asarray(lesion_mask, bool)
@@ -364,7 +332,6 @@ def forward_trial(weights: NetworkWeights, props: IntrinsicProperties,
         spikes_prev = emitted
         rec.v[t] = v_pre
         rec.v_d[t] = v_d
-        rec.noise[t] = noise
         rec.spikes[t] = emitted
         rec.spikes_internal[t] = spikes
         rec.trace[t] = trace

@@ -3,9 +3,8 @@
 The adjoint pass mirrors the forward recursion step by step. Two modes:
 
   surrogate  hard spikes in the forward pass; the backward pass substitutes
-             a triangular pseudo-derivative for the threshold and, by
-             default, detaches the reset (gradient flows only through the
-             no-spike branch).
+             a triangular pseudo-derivative for the threshold and detaches
+             the reset (gradient flows only through the no-spike branch).
   smooth     sigmoid spikes forward and backward with the reset fully
              differentiated; the loss is then an exact smooth function of
              the parameters, so central finite differences verify the
@@ -71,7 +70,6 @@ _PARAM_NAMES = ("w_in", "w_rec", "w_out", "tau_d", "tau_s", "theta")
 class DifferentiationMode:
     mode: str = "surrogate"  # "surrogate" | "smooth"
     surrogate_width: float = 1.0
-    reset_passthrough: bool = False
 
     def __post_init__(self):
         if self.mode not in ("surrogate", "smooth"):
@@ -117,7 +115,7 @@ def adjoint_trial(rec: TrialRecording, weights: NetworkWeights,
     v_post_prev = np.vstack([np.full((1, n), config.v_reset), v_post[:-1]])
     trace_prev = np.vstack([np.zeros((1, n)), rec.trace[:-1]])
     ds_dv = _spike_derivative(rec, props, mode)
-    reset_diff = mode.mode == "smooth" or mode.reset_passthrough
+    reset_diff = mode.mode == "smooth"
 
     grads = GradientSet.zeros_like(weights, props)
     gm_from_readout = g_readout @ weights.w_out  # [T, n]
@@ -149,10 +147,7 @@ def adjoint_trial(rec: TrialRecording, weights: NetworkWeights,
         spike_term = g_s * ds_dv[t]
         g_v = g_vp * (1.0 - s_int[t]) + spike_term
         grads.d_theta -= spike_term
-        if config.noise_scaled_by_leak:
-            grads.d_tau_s += g_v * (v_post_prev[t] - drive_all[t] - rec.noise[t])
-        else:
-            grads.d_tau_s += g_v * (v_post_prev[t] - drive_all[t])
+        grads.d_tau_s += g_v * (v_post_prev[t] - drive_all[t])
         g_drive = g_v * (1.0 - tau_s)
         c_v_post = g_v * tau_s
         if d > 0:

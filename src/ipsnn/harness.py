@@ -20,7 +20,8 @@ import numpy as np
 
 from . import plasticity, tensorio
 from .core import NetworkConfig, NetworkWeights, forward_trial, init_weights
-from .gradients import AdamState, DifferentiationMode, task_gradients, task_loss
+from .gradients import (AdamState, DifferentiationMode, GradientError,
+                        task_gradients, task_loss)
 from .objective import LossWeights, hidden_mean_square
 from .plasticity import CandidateProperties, ConfiguredProperties, LearningMask
 from .tasks import TaskInstance, generate_task
@@ -52,7 +53,6 @@ class ExperimentConfig:
     a_noise: float = 0.05
     v_reset: float = 0.0
     train_noise: bool = True
-    noise_scaled_by_leak: bool = False
     lr: float = 0.01
     beta1: float = 0.1
     beta2: float = 0.3
@@ -63,7 +63,6 @@ class ExperimentConfig:
     lambda_out: float = 0.1
     trial_reduction: str = "mean"
     surrogate_width: float = 1.0
-    reset_passthrough: bool = False
     gain_in: float = 1.0
     gain_rec: float = 1.0
     gain_out: float = 1.0
@@ -109,16 +108,14 @@ class ExperimentConfig:
             n_neurons=self.n_neurons, n_dendrites=self.n_dendrites,
             dt_ms=self.dt_ms, alpha=self.alpha, alpha_noise=self.alpha_noise,
             a_noise=self.a_noise, v_reset=self.v_reset,
-            noise_enabled=self.train_noise, rng_seed=self.seed,
-            noise_scaled_by_leak=self.noise_scaled_by_leak)
+            noise_enabled=self.train_noise, rng_seed=self.seed)
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(self.lambda_h, self.lambda_in, self.lambda_rec,
                            self.lambda_out)
 
     def diff_mode(self) -> DifferentiationMode:
-        return DifferentiationMode("surrogate", self.surrogate_width,
-                                   self.reset_passthrough)
+        return DifferentiationMode("surrogate", self.surrogate_width)
 
 
 @dataclass
@@ -194,41 +191,46 @@ def run_inner_task(state: TrainState, task: TaskInstance,
     """Train the carried model on one task until the loss threshold or budget.
 
     ``lesion_mask`` keeps the marked neurons silenced throughout training
-    (used by the lesion protocol's subsequent-task runs).
+    (used by the lesion protocol's subsequent-task runs). A non-finite loss
+    or gradient ends the task as a failure with ``error`` set; the carried
+    homeostatic activity then stays at the previous task's value.
     """
     t0 = time.perf_counter()
     mode = config.diff_mode()
     lw = config.loss_weights()
     props = state.configured.props
     threshold = config.threshold
+    converged, error = False, None
     for iteration in range(1, config.max_iters + 1):
         recordings = [
             forward_trial(state.weights, props, state.net, trial.inputs,
-                          rng=state.noise_rng, lesion_mask=lesion_mask,
-                          task_index=task.task_index, trial_index=i)
-            for i, trial in enumerate(task.trials)
+                          rng=state.noise_rng, lesion_mask=lesion_mask)
+            for trial in task.trials
         ]
         breakdown = task_loss(recordings, task, state.weights, lw,
                               state.sigma_h_sq, config.trial_reduction)
         loss_value = breakdown.total
         if not np.isfinite(loss_value):
-            state.last_recordings = recordings
-            return TaskOutcome(task.task_index, False, iteration, loss_value,
-                               time.perf_counter() - t0,
-                               error=f"non-finite loss at iteration {iteration}")
+            error = f"non-finite loss at iteration {iteration}"
+            break
         converged = iteration >= config.min_iters and loss_value < threshold
         if converged:
             break
-        _, grads = task_gradients(recordings, task, state.weights, props,
-                                  state.net, mode, lw, state.sigma_h_sq,
-                                  config.trial_reduction,
-                                  learning_mask=state.configured.mask,
-                                  lesion_mask=lesion_mask)
+        try:
+            _, grads = task_gradients(recordings, task, state.weights, props,
+                                      state.net, mode, lw, state.sigma_h_sq,
+                                      config.trial_reduction,
+                                      learning_mask=state.configured.mask,
+                                      lesion_mask=lesion_mask)
+        except GradientError as exc:
+            error = f"{exc} at iteration {iteration}"
+            break
         plasticity.apply_update(state.weights, state.configured, grads, state.adam)
-    state.last_mean_sq = hidden_mean_square([r.trace for r in recordings])
+    if error is None:
+        state.last_mean_sq = hidden_mean_square([r.trace for r in recordings])
     state.last_recordings = recordings
     return TaskOutcome(task.task_index, converged, iteration, loss_value,
-                       time.perf_counter() - t0)
+                       time.perf_counter() - t0, error)
 
 
 def eval_recordings(state: TrainState, task: TaskInstance,
@@ -236,9 +238,8 @@ def eval_recordings(state: TrainState, task: TaskInstance,
     """Noiseless forward pass over a task's trials (analysis archives and
     the lesion protocol's execution loss)."""
     return [forward_trial(state.weights, state.configured.props, state.net,
-                          trial.inputs, rng=None, lesion_mask=lesion_mask,
-                          task_index=task.task_index, trial_index=i)
-            for i, trial in enumerate(task.trials)]
+                          trial.inputs, rng=None, lesion_mask=lesion_mask)
+            for trial in task.trials]
 
 
 def run_family(config: ExperimentConfig,
@@ -323,7 +324,8 @@ def _save_checkpoint(state: TrainState, config: ExperimentConfig,
                     "variant": config.variant, "experiment_seed": config.seed,
                     "adam_step_count": state.adam.step_count,
                     "gain_in": config.gain_in, "gain_rec": config.gain_rec,
-                    "gain_out": config.gain_out})
+                    "gain_out": config.gain_out,
+                    "noise_rng_state": state.noise_rng.bit_generator.state})
 
 
 def state_from_checkpoint(path, config: ExperimentConfig) -> TrainState:
@@ -341,6 +343,8 @@ def state_from_checkpoint(path, config: ExperimentConfig) -> TrainState:
     noise_rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, _SEED_NOISE,
                                 int(ckpt.meta.get("task_index", 0)) + 1]))
+    if "noise_rng_state" in ckpt.meta:  # absent from older checkpoints
+        noise_rng.bit_generator.state = ckpt.meta["noise_rng_state"]
     return TrainState(net=ckpt.config, weights=ckpt.weights,
                       candidates=candidates, configured=configured, adam=adam,
                       noise_rng=noise_rng, sigma_h_sq=ckpt.sigma_h_sq)

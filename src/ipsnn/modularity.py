@@ -81,8 +81,7 @@ class ModularityReport:
 
 
 def build_layers(v: np.ndarray, window_steps: int, stride: int,
-                 gamma: float = 1.0, coupling: float = 1.0,
-                 clip_negative: bool = True) -> LayeredNetwork:
+                 gamma: float = 1.0, coupling: float = 1.0) -> LayeredNetwork:
     """Sliding-window correlation layers over an activity matrix [T, n].
 
     Neuron pairs with an undefined correlation inside a window (zero
@@ -108,8 +107,7 @@ def build_layers(v: np.ndarray, window_steps: int, stride: int,
         corr[dead, :] = 0.0
         corr[:, dead] = 0.0
         np.fill_diagonal(corr, 0.0)
-        if clip_negative:
-            np.clip(corr, 0.0, None, out=corr)
+        np.clip(corr, 0.0, None, out=corr)
         layers[l] = (corr + corr.T) / 2.0
     return LayeredNetwork(adjacency=layers, gamma=np.full(n_layers, gamma),
                           coupling=coupling)

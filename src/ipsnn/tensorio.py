@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -122,21 +123,8 @@ def save_checkpoint(path, config: NetworkConfig, weights: NetworkWeights,
                     mask_bits: tuple[int, int, int], sigma_h_sq: float,
                     optimizer_moments: dict[str, np.ndarray] | None = None,
                     extra_meta: dict | None = None) -> None:
-    meta = {
-        "kind": "checkpoint",
-        "n_neurons": config.n_neurons,
-        "n_dendrites": config.n_dendrites,
-        "dt_ms": config.dt_ms,
-        "alpha": config.alpha,
-        "alpha_noise": config.alpha_noise,
-        "a_noise": config.a_noise,
-        "v_reset": config.v_reset,
-        "noise_enabled": config.noise_enabled,
-        "noise_scaled_by_leak": config.noise_scaled_by_leak,
-        "rng_seed": config.rng_seed,
-        "mask_bits": list(mask_bits),
-        "sigma_h_sq": sigma_h_sq,
-    }
+    meta = {"kind": "checkpoint", **asdict(config),
+            "mask_bits": list(mask_bits), "sigma_h_sq": sigma_h_sq}
     meta.update(extra_meta or {})
     tensors = {
         "w_in": weights.w_in,
@@ -157,34 +145,33 @@ def save_checkpoint(path, config: NetworkConfig, weights: NetworkWeights,
     save_tensors(path, tensors, meta)
 
 
+@contextmanager
+def _required_keys(path):
+    """Turn a missing meta or tensor key into a ValueError naming the file."""
+    try:
+        yield
+    except KeyError as err:
+        raise ValueError(f"{path}: missing key {err.args[0]!r}") from None
+
+
 def load_checkpoint(path) -> Checkpoint:
     tensors, meta = load_tensors(path)
     if meta.get("kind") != "checkpoint":
         raise ValueError(f"{path}: container is not a checkpoint")
-    config = NetworkConfig(
-        n_neurons=int(meta["n_neurons"]),
-        n_dendrites=int(meta["n_dendrites"]),
-        dt_ms=meta["dt_ms"],
-        alpha=meta["alpha"],
-        alpha_noise=meta["alpha_noise"],
-        a_noise=meta["a_noise"],
-        v_reset=meta["v_reset"],
-        noise_enabled=bool(meta["noise_enabled"]),
-        rng_seed=int(meta["rng_seed"]),
-        noise_scaled_by_leak=bool(meta["noise_scaled_by_leak"]),
-    )
-    weights = NetworkWeights(
-        w_in=tensors["w_in"], w_rec=tensors["w_rec"], w_out=tensors["w_out"],
-        mask_in=tensors.get("mask_in"), mask_rec=tensors.get("mask_rec"),
-    )
-    learnable = IntrinsicProperties(tensors["learnable.tau_d"],
-                                    tensors["learnable.tau_s"],
-                                    tensors["learnable.theta"])
-    fixed = IntrinsicProperties(tensors["fixed.tau_d"], tensors["fixed.tau_s"],
-                                tensors["fixed.theta"])
-    return Checkpoint(config=config, weights=weights, learnable_bank=learnable,
-                      fixed_bank=fixed, mask_bits=tuple(meta["mask_bits"]),
-                      sigma_h_sq=meta["sigma_h_sq"], meta=meta)
+    with _required_keys(path):
+        config = NetworkConfig(**{f.name: meta[f.name] for f in fields(NetworkConfig)})
+        weights = NetworkWeights(
+            w_in=tensors["w_in"], w_rec=tensors["w_rec"], w_out=tensors["w_out"],
+            mask_in=tensors.get("mask_in"), mask_rec=tensors.get("mask_rec"),
+        )
+        learnable = IntrinsicProperties(tensors["learnable.tau_d"],
+                                        tensors["learnable.tau_s"],
+                                        tensors["learnable.theta"])
+        fixed = IntrinsicProperties(tensors["fixed.tau_d"], tensors["fixed.tau_s"],
+                                    tensors["fixed.theta"])
+        return Checkpoint(config=config, weights=weights, learnable_bank=learnable,
+                          fixed_bank=fixed, mask_bits=tuple(meta["mask_bits"]),
+                          sigma_h_sq=meta["sigma_h_sq"], meta=meta)
 
 
 def load_optimizer_moments(path) -> dict[str, np.ndarray]:
@@ -219,16 +206,17 @@ def load_task(path):
     tensors, meta = load_tensors(path)
     if meta.get("kind") != "task":
         raise ValueError(f"{path}: container is not a task export")
-    schedule = PeriodSchedule(int(meta["stimulus_steps"]), int(meta["delay_steps"]),
-                              int(meta["response_steps"]))
-    spec = TaskFamilySpec.for_family(meta["family"])
-    trials = []
-    for i, (label, ctx) in enumerate(zip(meta["labels"], meta["contexts"])):
-        trials.append(Trial(inputs=tensors[f"trial{i}.inputs"],
-                            targets=tensors[f"trial{i}.targets"],
-                            label=int(label), context=int(ctx)))
-    return TaskInstance(meta["family"], int(meta["task_index"]), int(meta["seed"]),
-                        schedule, spec, trials)
+    with _required_keys(path):
+        schedule = PeriodSchedule(int(meta["stimulus_steps"]), int(meta["delay_steps"]),
+                                  int(meta["response_steps"]))
+        spec = TaskFamilySpec.for_family(meta["family"])
+        trials = []
+        for i, (label, ctx) in enumerate(zip(meta["labels"], meta["contexts"])):
+            trials.append(Trial(inputs=tensors[f"trial{i}.inputs"],
+                                targets=tensors[f"trial{i}.targets"],
+                                label=int(label), context=int(ctx)))
+        return TaskInstance(meta["family"], int(meta["task_index"]), int(meta["seed"]),
+                            schedule, spec, trials)
 
 
 def save_recording(path, recordings: list, task_index: int,
@@ -251,7 +239,8 @@ def load_recording(path) -> tuple[list[dict[str, np.ndarray]], dict]:
     if meta.get("kind") != "recording":
         raise ValueError(f"{path}: container is not a recording archive")
     trials = []
-    for i in range(int(meta["n_trials"])):
-        trials.append({key: tensors[f"trial{i}.{key}"]
-                       for key in ("v", "spikes", "trace", "readout")})
+    with _required_keys(path):
+        for i in range(int(meta["n_trials"])):
+            trials.append({key: tensors[f"trial{i}.{key}"]
+                           for key in ("v", "spikes", "trace", "readout")})
     return trials, meta

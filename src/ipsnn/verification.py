@@ -13,7 +13,7 @@ import numpy as np
 
 from . import objective
 from .core import (IntrinsicProperties, NetworkConfig, NetworkWeights,
-                   forward_trial, init_state, init_weights, noise_step)
+                   forward_trial, init_weights, noise_step)
 from .gradients import (DifferentiationMode, finite_difference_oracle,
                         task_gradients, task_loss)
 from .modularity import CommunityAssignment, LayeredNetwork, louvain_optimize
@@ -44,7 +44,7 @@ def _random_setup(seed: int, n_neurons: int, t_steps: int, in_dim: int,
     targets = rng.uniform(0.0, 1.0, size=(t_steps, out_dim))
     # realized noise sequence, pinned so every evaluation sees the same draws
     noise = np.empty((t_steps, n_neurons))
-    state = init_state(config).noise
+    state = np.zeros(n_neurons)
     for t in range(t_steps):
         state = noise_step(state, rng.standard_normal(n_neurons), config)
         noise[t] = state

@@ -8,6 +8,7 @@ import pytest
 
 from ipsnn import cli, verification
 from ipsnn.manifest import load_manifest, validate_manifest
+from ipsnn.tensorio import load_tensors, save_tensors
 
 TINY = {
     "family": "GNG-DR-2",
@@ -62,6 +63,19 @@ class TestConfigValidation:
         path.write_text(json.dumps(bad))
         assert cli.main(["train", "--config", str(path), "--dry-run"]) == 2
         assert "learning_rate" in capsys.readouterr().err
+
+    def test_retired_key_at_false_dropped(self, tmp_path):
+        path = tmp_path / "old.json"
+        for key in ("noise_scaled_by_leak", "reset_passthrough"):
+            path.write_text(json.dumps(dict(TINY, **{key: False})))
+            assert not hasattr(cli.load_config(str(path)), key)
+
+    def test_retired_key_at_true_rejected(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        for key in ("noise_scaled_by_leak", "reset_passthrough"):
+            path.write_text(json.dumps(dict(TINY, **{key: True})))
+            assert cli.main(["train", "--config", str(path), "--dry-run"]) == 2
+            assert key in capsys.readouterr().err
 
     def test_invalid_value_rejected(self, tmp_path):
         bad = dict(TINY, convergence_threshold=-1.0)
@@ -155,6 +169,33 @@ class TestAnalyze:
                          "--property", "tau_s"]) == 0
         lines = open(os.path.join(run_dir, "lesion.csv")).read().splitlines()
         assert len(lines) == 2 + 10  # header comment + header + ten bins
+
+    def test_run_directory_with_retired_settings(self, run_dir):
+        # rewrite the run directory the way earlier versions wrote it: the
+        # retired keys at false in config.json, the leak-placement meta line
+        # and no noise generator state in every checkpoint
+        args = {"pca": [], "lesion": ["--property", "tau_s"]}
+        before = {}
+        for what, extra in args.items():
+            assert cli.main(["analyze", what, "--run", run_dir] + extra) == 0
+            before[what] = open(os.path.join(run_dir, f"{what}.csv")).readlines()
+        cfg_path = os.path.join(run_dir, "config.json")
+        with open(cfg_path) as fh:
+            raw = json.load(fh)
+        raw.update(noise_scaled_by_leak=False, reset_passthrough=False)
+        with open(cfg_path, "w") as fh:
+            json.dump(raw, fh, indent=2, sort_keys=True)
+        ckpt_dir = os.path.join(run_dir, "checkpoints")
+        for name in os.listdir(ckpt_dir):
+            tensors, meta = load_tensors(os.path.join(ckpt_dir, name))
+            del meta["noise_rng_state"]
+            save_tensors(os.path.join(ckpt_dir, name), tensors,
+                         dict(meta, noise_scaled_by_leak=False))
+        for what, extra in args.items():
+            assert cli.main(["analyze", what, "--run", run_dir] + extra) == 0
+            after = open(os.path.join(run_dir, f"{what}.csv")).readlines()
+            assert after[0] != before[what][0]  # the config hash stamp
+            assert after[1:] == before[what][1:]
 
     def test_missing_recordings_listed(self, run_dir, capsys):
         for name in os.listdir(os.path.join(run_dir, "recordings")):

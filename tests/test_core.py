@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ipsnn.core import (IntrinsicProperties, NetworkConfig, NetworkWeights,
-                        dendrite_step, forward_trial, init_state, init_weights,
+                        dendrite_step, forward_trial, init_weights,
                         noise_step, readout, soma_step, spike_and_reset,
                         trace_step)
 
@@ -33,20 +33,33 @@ class TestConfig:
             NetworkConfig(**kwargs)
 
 
+def first_step(v_reset, n=4, d=2):
+    """Step 0 of a trial that keeps the initial state: tau_s = 1 holds v,
+    zero weights give zero drive, and there is no noise."""
+    cfg = NetworkConfig(n_neurons=n, n_dendrites=d, v_reset=v_reset,
+                        noise_enabled=False)
+    w = init_weights(cfg, 2, 2, seed=0)
+    for arr in (w.w_in, w.w_rec, w.w_out):
+        arr[...] = 0.0
+    rec = forward_trial(w, make_props(n, d, tau_s=1.0), cfg, np.ones((1, 2)))
+    return rec.v[0], rec.v_d[0], rec.trace[0]
+
+
 class TestInitState:
     def test_all_zero_with_zero_reset(self):
-        state = init_state(NetworkConfig(n_neurons=4, v_reset=0.0))
-        for arr in (state.v, state.v_d, state.noise, state.spikes, state.trace):
+        for arr in first_step(0.0):
             assert np.all(arr == 0.0)
 
     def test_v_starts_at_reset(self):
-        state = init_state(NetworkConfig(n_neurons=1, v_reset=-0.2))
-        assert state.v.tolist() == [-0.2]
+        v, v_d, trace = first_step(-0.2, n=1)
+        assert v.tolist() == [-0.2]
+        assert np.all(v_d == 0.0) and np.all(trace == 0.0)
 
     def test_deterministic(self):
-        cfg = NetworkConfig(n_neurons=3, rng_seed=9)
-        a, b = init_state(cfg), init_state(cfg)
-        assert np.array_equal(a.v, b.v) and np.array_equal(a.v_d, b.v_d)
+        for d in (2, 0):
+            a, b = first_step(-0.2, d=d), first_step(-0.2, d=d)
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+            assert np.all(a[0] == -0.2)
 
 
 class TestNoiseStep:
@@ -140,13 +153,6 @@ class TestSomaStep:
         out = soma_step(np.array([0.4]), np.array([1.0]), np.array([0.1]),
                         props, cfg)
         assert out[0] == pytest.approx(0.8, abs=1e-15)
-
-    def test_scaled_noise_placement(self):
-        cfg = NetworkConfig(n_neurons=1, noise_scaled_by_leak=True)
-        props = make_props(1, 2, tau_s=0.5)
-        out = soma_step(np.array([0.4]), np.array([1.0]), np.array([0.1]),
-                        props, cfg)
-        assert out[0] == pytest.approx(0.5 * 0.4 + 0.5 * 1.1, abs=1e-15)
 
 
 class TestSpikeAndReset:
@@ -245,7 +251,7 @@ class TestForwardTrial:
         x = np.random.default_rng(2).uniform(size=(40, 3))
         a = forward_trial(w, props, cfg, x, rng=np.random.default_rng(77))
         b = forward_trial(w, props, cfg, x, rng=np.random.default_rng(77))
-        for name in ("v", "v_d", "noise", "spikes", "trace", "readout"):
+        for name in ("v", "v_d", "spikes", "trace", "readout"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_constant_suprathreshold_drive_spikes_every_step(self):

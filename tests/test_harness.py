@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from ipsnn import harness
 from ipsnn.harness import (ExperimentConfig, TaskOutcome, build_state,
                            compute_metrics, run_ablation_grid, run_family,
                            run_inner_task, state_from_checkpoint)
 from ipsnn.core import forward_trial
+from ipsnn.gradients import GradientError
 from ipsnn.tasks import generate_task
 from ipsnn.tensorio import load_checkpoint, load_recording
 
@@ -124,6 +126,26 @@ class TestRunFamily:
         assert run.sigma_history[0] == 0.0  # before the first task
         assert run.sigma_history[1] > 0.0
 
+    def test_gradient_error_fails_the_task(self, tmp_path, monkeypatch):
+        real = harness.task_gradients
+
+        def blows_up_on_task_1(recordings, task, *args, **kwargs):
+            if task.task_index == 1:
+                raise GradientError("w_rec")
+            return real(recordings, task, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "task_gradients", blows_up_on_task_1)
+        config = tiny(n_tasks=3, max_iters=4, min_iters=4,
+                      output_dir=str(tmp_path / "run"))
+        metrics, run = run_family(config)
+        assert [o.error is None for o in run.outcomes] == [True, False, True]
+        failed = run.outcomes[1]
+        assert not failed.converged and failed.iterations_used == 1
+        assert "w_rec" in failed.error
+        assert metrics.failure_count >= 1
+        rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        assert len(rows) == 1 + 3
+
     def test_deterministic_artifacts(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -177,6 +199,22 @@ class TestCheckpointResume:
             assert load_checkpoint(path).sigma_h_sq == run.sigma_history[k + 1]
             restored = state_from_checkpoint(path, config)
             assert restored.sigma_h_sq == run.sigma_history[k + 1]
+
+    def test_resume_with_noise_equals_uninterrupted(self, tmp_path):
+        # pinned budget with training noise on: the restored noise generator
+        # must draw what the uninterrupted run drew for tasks 2 and 3
+        config = tiny(n_tasks=4, seed=0, n_neurons=16, dt_ms=50.0,
+                      max_iters=5, min_iters=5, convergence_threshold=1e-12,
+                      early_stop_failures=5, checkpoint_every=1,
+                      output_dir=str(tmp_path / "run"))
+        _, run = run_family(config)
+        state = state_from_checkpoint(
+            tmp_path / "run" / "checkpoints" / "task_000001.ckpt", config)
+        for i in (2, 3):
+            task = generate_task(config.family, i, config.seed, config.dt_ms)
+            outcome = run_inner_task(state, task, config)
+            assert outcome.final_loss == run.outcomes[i].final_loss, i
+            state.sigma_h_sq = state.last_mean_sq
 
 
 class TestComputeMetrics:

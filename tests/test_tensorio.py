@@ -149,6 +149,41 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+class TestMissingKey:
+    @staticmethod
+    def write(kind, path):
+        config = NetworkConfig(n_neurons=4, rng_seed=0)
+        weights = init_weights(config, 2, 2, seed=1)
+        props = default_learnable_bank(config, 2)
+        if kind == "checkpoint":
+            save_checkpoint(path, config, weights, props,
+                            default_fixed_bank(config, 3), (1, 1, 0), 0.0)
+            return load_checkpoint
+        if kind == "recording":
+            x = np.random.default_rng(3).uniform(size=(5, 2))
+            save_recording(path, [forward_trial(weights, props, config, x)], 0)
+            return load_recording
+        export_task(path, generate_task("DMS", 0, seed=1, dt_ms=100.0))
+        return load_task
+
+    @pytest.mark.parametrize("kind, line, key", [
+        ("checkpoint", "meta rng_seed", "rng_seed"),
+        ("checkpoint", "tensor w_out", "w_out"),
+        ("recording", "tensor trial0.trace", "trial0.trace"),
+        ("task", "meta labels", "labels"),
+    ])
+    def test_missing_key_names_path_and_key(self, tmp_path, kind, line, key):
+        path = tmp_path / f"x.{kind}"
+        load = self.write(kind, path)
+        blob = path.read_bytes()
+        old = f"\n{line} ".encode()
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, f"\n{line}_renamed ".encode()))
+        with pytest.raises(ValueError) as err:
+            load(path)
+        assert str(path) in str(err.value) and repr(key) in str(err.value)
+
+
 class TestTaskExport:
     def test_round_trip(self, tmp_path):
         task = generate_task("CD-DMS", 5, seed=8, dt_ms=50.0)
