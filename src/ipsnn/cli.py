@@ -319,16 +319,9 @@ def _analyze_lesion(run_dir: str, cfg_hash: str, args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    failed_names = []
-
-    def report(line: str) -> None:
-        print(line)
-        if line.startswith("FAIL"):
-            failed_names.append(line.split()[1].rstrip(":"))
-
-    ok = verification.run_selftest(fast=args.fast, report=report)
-    if not ok:
-        print(f"selftest failed: {', '.join(failed_names)}", file=sys.stderr)
+    failed = verification.run_selftest(fast=args.fast)
+    if failed:
+        print(f"selftest failed: {', '.join(failed)}", file=sys.stderr)
         return 1
     print("selftest passed")
     return 0

@@ -198,37 +198,14 @@ def noise_step(noise: np.ndarray, z: np.ndarray, config: NetworkConfig) -> np.nd
     return (1.0 - config.alpha_noise) * noise + c * z
 
 
-def dendrite_step(v_d: np.ndarray, x_in: np.ndarray, trace_prev: np.ndarray,
-                  weights: NetworkWeights, props: IntrinsicProperties,
-                  config: NetworkConfig) -> np.ndarray:
-    """Leaky branch update; the result is both the new v_d and the soma drive.
-
-    Each branch integrates only its assigned afferents (branch-exclusive
-    masks are baked into the weight tensors).
-    """
-    if not config.dendritic:
-        raise ValueError("dendrite_step requires n_dendrites > 0")
-    drive = branch_drive(x_in, trace_prev, weights)
-    return props.tau_d * v_d + (1.0 - props.tau_d) * drive
-
-
-def branch_drive(x_in: np.ndarray, trace_prev: np.ndarray,
-                 weights: NetworkWeights) -> np.ndarray:
-    """Synaptic input per (neuron, branch): W_in,d x + W_rec,d M."""
-    per_branch = weights.w_in @ x_in + weights.w_rec @ trace_prev  # [D, n]
-    return per_branch.T
-
-
-def direct_drive(x_in: np.ndarray, trace_prev: np.ndarray,
-                 weights: NetworkWeights) -> np.ndarray:
-    """Point-soma synaptic input: W_in x + W_rec M."""
-    return weights.w_in @ x_in + weights.w_rec @ trace_prev
-
-
-def soma_step(v: np.ndarray, drive: np.ndarray, noise: np.ndarray,
-              props: IntrinsicProperties, config: NetworkConfig) -> np.ndarray:
-    """Leaky somatic integration of the drive plus the noise term."""
-    return props.tau_s * v + (1.0 - props.tau_s) * drive + noise
+def noise_sequence(z: np.ndarray, config: NetworkConfig) -> np.ndarray:
+    """The OU noise state after each of the draws ``z[0], z[1], ...``,
+    starting from zero."""
+    out = np.empty_like(z)
+    state = np.zeros(z.shape[1:])
+    for t in range(len(z)):
+        state = out[t] = noise_step(state, z[t], config)
+    return out
 
 
 def spike_and_reset(v: np.ndarray, props: IntrinsicProperties,
@@ -243,15 +220,6 @@ def trace_step(trace: np.ndarray, spikes_prev: np.ndarray,
                config: NetworkConfig) -> np.ndarray:
     """Exponential smoothing of spiking activity (convex combination)."""
     return config.alpha * trace + (1.0 - config.alpha) * spikes_prev
-
-
-def readout(trace: np.ndarray, weights: NetworkWeights) -> np.ndarray:
-    """Linear readout of the spike trace."""
-    return weights.w_out @ trace
-
-
-def _smooth_spike(v: np.ndarray, theta: np.ndarray, width: float) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-(v - theta) / width))
 
 
 def forward_trial(weights: NetworkWeights, props: IntrinsicProperties,
@@ -269,6 +237,11 @@ def forward_trial(weights: NetworkWeights, props: IntrinsicProperties,
     reset, producing the smoothed system used for gradient verification.
     ``lesion_mask`` (boolean, True = silenced) clamps emitted spikes to zero
     while membrane dynamics, including the reset, keep running.
+
+    Products that do not depend on the recurrence run once per trial: the
+    input drive of all steps ([T, D*n], rows ordered branch, neuron) and the
+    readout, each a stack of the per-step matrix-vector products (same
+    rounding), so a step computes only the recurrent input.
     """
     if spike_mode not in ("hard", "smooth"):
         raise ValueError(f"unknown spike_mode: {spike_mode!r}")
@@ -277,63 +250,53 @@ def forward_trial(weights: NetworkWeights, props: IntrinsicProperties,
         raise ValueError(
             f"input trial must be [T, {weights.in_dim}], got {x.shape}")
     n, d, t_steps = config.n_neurons, config.n_dendrites, x.shape[0]
-    if weights.w_rec.shape[-1] != n:
-        raise ValueError("weights do not match config.n_neurons")
-
-    if noise_values is not None:
-        noise_seq = np.asarray(noise_values, dtype=np.float64)
-        if noise_seq.shape != (t_steps, n):
-            raise ValueError("noise_values must be [T, n_neurons]")
-        z = None
-    elif config.noise_enabled and rng is not None:
-        z = rng.standard_normal((t_steps, n))
-        noise_seq = None
-    else:
-        z = np.zeros((t_steps, n))
-        noise_seq = None
-
-    rec = TrialRecording(
-        inputs=x,
-        v=np.empty((t_steps, n)),
-        v_d=np.empty((t_steps, n, d)),
-        spikes=np.empty((t_steps, n)),
-        spikes_internal=np.empty((t_steps, n)),
-        trace=np.empty((t_steps, n)),
-        readout=np.empty((t_steps, weights.out_dim)),
-    )
-
-    v_post = np.full(n, config.v_reset, dtype=np.float64)
-    v_d = np.zeros((n, d))
-    noise = trace = spikes_prev = np.zeros(n)  # replaced, never written in place
-    lesioned = None
+    if weights.w_rec.shape[-1] != n or weights.n_dendrites != d:
+        raise ValueError("weights do not match config.n_neurons and n_dendrites")
+    keep = None
     if lesion_mask is not None:
-        lesioned = np.asarray(lesion_mask, bool)
-        if lesioned.shape != (n,):
+        keep = ~np.asarray(lesion_mask, bool)
+        if keep.shape != (n,):
             raise ValueError("lesion_mask must be [n_neurons]")
 
+    if noise_values is not None:
+        noise = np.asarray(noise_values, dtype=np.float64)
+        if noise.shape != (t_steps, n):
+            raise ValueError("noise_values must be [T, n_neurons]")
+    elif config.noise_enabled and rng is not None:
+        noise = noise_sequence(rng.standard_normal((t_steps, n)), config)
+    else:
+        noise = np.zeros((t_steps, n))
+
+    syn_in = np.matmul(weights.w_in.reshape(-1, weights.in_dim), x[:, :, None])[..., 0]
+    w_rec = weights.w_rec.reshape(-1, n)
+    tau_d, leak_d = props.tau_d.T, 1.0 - props.tau_d.T  # [D, n], as the drive rows
+    tau_s, leak_s = props.tau_s, 1.0 - props.tau_s
+
+    v_hist, spikes_hist, internal_hist, trace_hist = np.empty((4, t_steps, n))
+    v_d_hist = np.empty((t_steps, n, d))
+    v_post = np.full(n, config.v_reset, dtype=np.float64)
+    v_d = np.zeros((d, n))
+    trace = spikes_prev = np.zeros(n)  # replaced, never written in place
     for t in range(t_steps):
-        if noise_seq is not None:
-            noise = noise_seq[t]
-        else:
-            noise = noise_step(noise, z[t], config)
+        drive = syn_in[t] + w_rec @ trace
         if d > 0:
-            v_d = dendrite_step(v_d, x[t], trace, weights, props, config)
-            drive = v_d.sum(axis=1)
-        else:
-            drive = direct_drive(x[t], trace, weights)
-        v_pre = soma_step(v_post, drive, noise, props, config)
+            v_d = tau_d * v_d + leak_d * drive.reshape(d, n)
+            v_d_hist[t] = v_d.T
+            drive = v_d.sum(axis=0)
+        v_pre = tau_s * v_post + leak_s * drive + noise[t]
         if spike_mode == "hard":
             spikes, v_post = spike_and_reset(v_pre, props, config)
         else:
-            spikes = _smooth_spike(v_pre, props.theta, smooth_width)
+            spikes = 1.0 / (1.0 + np.exp(-(v_pre - props.theta) / smooth_width))
             v_post = v_pre + (config.v_reset - v_pre) * spikes
-        emitted = spikes if lesioned is None else spikes * ~lesioned
+        emitted = spikes if keep is None else spikes * keep
         trace = trace_step(trace, spikes_prev, config)
         spikes_prev = emitted
-        rec.v[t] = v_pre
-        rec.v_d[t] = v_d
-        rec.spikes[t] = emitted
-        rec.spikes_internal[t] = spikes
-        rec.trace[t] = trace
-        rec.readout[t] = readout(trace, weights)
-    return rec
+        v_hist[t] = v_pre
+        spikes_hist[t] = emitted
+        internal_hist[t] = spikes
+        trace_hist[t] = trace
+    readout = np.matmul(weights.w_out, trace_hist[:, :, None])[..., 0]
+    return TrialRecording(inputs=x, v=v_hist, v_d=v_d_hist, spikes=spikes_hist,
+                          spikes_internal=internal_hist, trace=trace_hist,
+                          readout=readout)

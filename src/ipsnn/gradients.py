@@ -1,6 +1,7 @@
 """Reverse-mode differentiation through the unrolled spiking dynamics.
 
-The adjoint pass mirrors the forward recursion step by step. Two modes:
+The adjoint loop runs the recursion backwards in time and stores each step's
+coefficients; the parameter gradients are reduced from them after it. Two modes:
 
   surrogate  hard spikes in the forward pass; the backward pass substitutes
              a triangular pseudo-derivative for the threshold and detaches
@@ -44,12 +45,6 @@ class GradientSet:
     d_tau_s: np.ndarray
     d_theta: np.ndarray
 
-    @classmethod
-    def zeros_like(cls, weights: NetworkWeights, props: IntrinsicProperties) -> "GradientSet":
-        return cls(np.zeros_like(weights.w_in), np.zeros_like(weights.w_rec),
-                   np.zeros_like(weights.w_out), np.zeros_like(props.tau_d),
-                   np.zeros_like(props.tau_s), np.zeros_like(props.theta))
-
     def add_(self, other: "GradientSet") -> "GradientSet":
         for name in _PARAM_NAMES:
             acc = getattr(self, "d_" + name)
@@ -83,14 +78,6 @@ def surrogate_spike_derivative(v, theta, width: float) -> np.ndarray:
     return np.maximum(0.0, 1.0 - np.abs(np.asarray(v) - theta) / width) / width
 
 
-def _spike_derivative(rec: TrialRecording, props: IntrinsicProperties,
-                      mode: DifferentiationMode) -> np.ndarray:
-    if mode.mode == "surrogate":
-        return surrogate_spike_derivative(rec.v, props.theta, mode.surrogate_width)
-    s = rec.spikes_internal
-    return s * (1.0 - s) / mode.surrogate_width
-
-
 def adjoint_trial(rec: TrialRecording, weights: NetworkWeights,
                   props: IntrinsicProperties, config: NetworkConfig,
                   mode: DifferentiationMode, g_readout: np.ndarray,
@@ -101,75 +88,74 @@ def adjoint_trial(rec: TrialRecording, weights: NetworkWeights,
     Returns parameter gradients for this trial only. The weight gradients
     are dense: ``task_gradients`` applies the branch masks, the regularizer
     terms and the learning-mask zeroing once per task.
+
+    The reverse loop carries the state adjoints and stores each step's
+    coefficients; after it, the property gradients are sums of those
+    coefficients over time, and ``d_w_in`` / ``d_w_rec`` are two products
+    on the [T, D*n] synaptic coefficients (rows ordered branch, neuron).
     """
     t_steps, n = rec.v.shape
-    d = config.n_dendrites
-    tau_d, tau_s, theta = props.tau_d, props.tau_s, props.theta
-    alpha = config.alpha
-    s_int = rec.spikes_internal
-    keep = np.ones(n) if lesion_mask is None else 1.0 - np.asarray(lesion_mask, float)
+    d, alpha = config.n_dendrites, config.alpha
+    tau_s, leak_s = props.tau_s, 1.0 - props.tau_s
+    tau_d, leak_d = props.tau_d.T, 1.0 - props.tau_d.T  # [D, n], as the drive rows
+    # a silenced neuron's emitted spikes are zero, so they pass no gradient
+    spike_gain = (1.0 - alpha) * (1.0 if lesion_mask is None
+                                  else 1.0 - np.asarray(lesion_mask, float))
 
     # Replayed quantities. v_post is the post-reset potential of each step;
     # prepending the initial state aligns index t with "previous step".
-    v_post = rec.v + (config.v_reset - rec.v) * s_int
+    s_int = rec.spikes_internal
+    reset_gap = config.v_reset - rec.v
+    v_post = rec.v + reset_gap * s_int
     v_post_prev = np.vstack([np.full((1, n), config.v_reset), v_post[:-1]])
     trace_prev = np.vstack([np.zeros((1, n)), rec.trace[:-1]])
-    ds_dv = _spike_derivative(rec, props, mode)
+    no_spike = 1.0 - s_int
     reset_diff = mode.mode == "smooth"
+    ds_dv = (s_int * no_spike / mode.surrogate_width if reset_diff else
+             surrogate_spike_derivative(rec.v, props.theta, mode.surrogate_width))
+    w_rec = weights.w_rec.reshape(-1, n)
+    syn = (rec.inputs @ weights.w_in.reshape(-1, weights.in_dim).T
+           + trace_prev @ w_rec.T)  # synaptic drive replay, [T, D*n]
+    g_m_all = g_readout @ weights.w_out + g_trace
 
-    grads = GradientSet.zeros_like(weights, props)
-    gm_from_readout = g_readout @ weights.w_out  # [T, n]
-    grads.d_w_out += g_readout.T @ rec.trace
-
+    g_syn = np.empty_like(syn)
+    g_v_all, spike_terms = np.empty((2, t_steps, n))
     if d > 0:
-        v_d_prev = np.concatenate([np.zeros((1, n, d)), rec.v_d[:-1]], axis=0)
-        # branch drive replay, [T, n, D]
-        b_all = (np.einsum("dni,ti->tnd", weights.w_in, rec.inputs)
-                 + np.einsum("dna,ta->tnd", weights.w_rec, trace_prev))
-        drive_all = rec.v_d.sum(axis=2)
-        w_rec_t = weights.w_rec.reshape(d * n, n)  # rows ordered (branch, neuron)
-        g_b_all = np.zeros((t_steps, n, d))
-    else:
-        drive_all = (rec.inputs @ weights.w_in.T) + trace_prev @ weights.w_rec.T
-        g_drive_all = np.zeros((t_steps, n))
-
-    c_v_post = np.zeros(n)
-    c_v_d = np.zeros((n, d))
-    c_trace = np.zeros(n)
-    c_spike = np.zeros(n)
+        g_vd_all = np.empty((t_steps, d, n))
+        g_b_all = g_syn.reshape(t_steps, d, n)
+    c_v_post = c_trace = c_spike = np.zeros(n)  # replaced, never written in place
+    c_v_d = np.zeros((d, n))
 
     for t in range(t_steps - 1, -1, -1):
-        g_vp = c_v_post
-        g_m = gm_from_readout[t] + g_trace[t] + c_trace
-        g_s = keep * c_spike
-        if reset_diff:
-            g_s = g_s + (config.v_reset - rec.v[t]) * g_vp
-        spike_term = g_s * ds_dv[t]
-        g_v = g_vp * (1.0 - s_int[t]) + spike_term
-        grads.d_theta -= spike_term
-        grads.d_tau_s += g_v * (v_post_prev[t] - drive_all[t])
-        g_drive = g_v * (1.0 - tau_s)
+        g_m = g_m_all[t] + c_trace
+        g_s = c_spike + reset_gap[t] * c_v_post if reset_diff else c_spike
+        spike_term = spike_terms[t] = g_s * ds_dv[t]
+        g_v = g_v_all[t] = c_v_post * no_spike[t] + spike_term
+        g_drive = g_v * leak_s
         c_v_post = g_v * tau_s
         if d > 0:
-            g_vd = c_v_d + g_drive[:, None]
-            grads.d_tau_d += g_vd * (v_d_prev[t] - b_all[t])
-            g_b = g_vd * (1.0 - tau_d)
-            g_b_all[t] = g_b
+            g_vd = g_vd_all[t] = c_v_d + g_drive
+            np.multiply(g_vd, leak_d, out=g_b_all[t])
             c_v_d = g_vd * tau_d
-            c_trace = alpha * g_m + w_rec_t.T @ g_b.T.reshape(-1)
         else:
-            g_drive_all[t] = g_drive
-            c_trace = alpha * g_m + weights.w_rec.T @ g_drive
-        c_spike = (1.0 - alpha) * g_m
+            g_syn[t] = g_drive
+        c_trace = alpha * g_m + w_rec.T @ g_syn[t]
+        c_spike = spike_gain * g_m
 
-    # Weight gradients batched over time (the loop only stored coefficients).
     if d > 0:
-        grads.d_w_in += np.einsum("tnd,ti->dni", g_b_all, rec.inputs)
-        grads.d_w_rec += np.einsum("tnd,ta->dna", g_b_all, trace_prev)
+        drive = rec.v_d.sum(axis=2)
+        v_d_prev = np.concatenate([np.zeros((1, d, n)),
+                                   rec.v_d[:-1].transpose(0, 2, 1)])
+        d_tau_d = (g_vd_all * (v_d_prev - syn.reshape(t_steps, d, n))).sum(axis=0).T
     else:
-        grads.d_w_in += g_drive_all.T @ rec.inputs
-        grads.d_w_rec += g_drive_all.T @ trace_prev
-    return grads
+        drive, d_tau_d = syn, np.zeros_like(props.tau_d)
+    return GradientSet(
+        d_w_in=(g_syn.T @ rec.inputs).reshape(weights.w_in.shape),
+        d_w_rec=(g_syn.T @ trace_prev).reshape(weights.w_rec.shape),
+        d_w_out=g_readout.T @ rec.trace,
+        d_tau_d=d_tau_d,
+        d_tau_s=(g_v_all * (v_post_prev - drive)).sum(axis=0),
+        d_theta=-spike_terms.sum(axis=0))
 
 
 def _reg_count(w: np.ndarray) -> int:
@@ -224,15 +210,14 @@ def task_gradients(recordings: list[TrialRecording], task,
     sign = np.sign(mean_sq - sigma_h_sq)
     homeo_coeff = loss_weights.lambda_h * sign * 2.0 / pooled
 
-    total = GradientSet.zeros_like(weights, props)
+    total = None
     for rec, trial in zip(recordings, task.trials):
         _, g_y = objective.base_loss_grad(
             rec.readout, trial.targets, task.spec.loss_kind,
             schedule=task.schedule, label=trial.label)
-        g_y = g_y * scale
-        g_trace = homeo_coeff * rec.trace
-        total.add_(adjoint_trial(rec, weights, props, config, mode,
-                                 g_y, g_trace, lesion_mask=lesion_mask))
+        grads = adjoint_trial(rec, weights, props, config, mode, g_y * scale,
+                              homeo_coeff * rec.trace, lesion_mask=lesion_mask)
+        total = grads if total is None else total.add_(grads)
 
     total.d_w_in += loss_weights.lambda_in * 2.0 * weights.w_in / _reg_count(weights.w_in)
     total.d_w_rec += loss_weights.lambda_rec * 2.0 * weights.w_rec / _reg_count(weights.w_rec)

@@ -244,13 +244,20 @@ def eval_recordings(state: TrainState, task: TaskInstance,
 
 def run_family(config: ExperimentConfig,
                log_fn=None) -> tuple[L2LMetrics, RunLog]:
-    """Run the full sequential-task paradigm for one family and variant."""
+    """Run the full sequential-task paradigm for one family and variant.
+
+    ``metrics.csv`` gains one flushed row per finished task, so a run that
+    raises keeps the rows of the tasks it finished.
+    """
     out_dir = config.output_dir
-    events = None
+    events = metrics_fh = None
     if out_dir:
         os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
         os.makedirs(os.path.join(out_dir, "recordings"), exist_ok=True)
         events = open(os.path.join(out_dir, "events.log"), "w")
+        metrics_fh = open(os.path.join(out_dir, "metrics.csv"), "w", newline="")
+        metrics_csv = csv.writer(metrics_fh)
+        metrics_csv.writerow(["task_index", "converged", "iterations", "final_loss"])
 
     def log(msg: str) -> None:
         if events is not None:
@@ -259,15 +266,15 @@ def run_family(config: ExperimentConfig,
         if log_fn is not None:
             log_fn(msg)
 
-    state = build_state(config)
-    mask_bits = state.configured.mask.as_tuple()
-    run = RunLog(family=config.family, variant=config.variant,
-                 seed=config.seed, mask_bits=mask_bits, output_dir=out_dir)
-    log(f"run start: family={config.family} variant={config.variant} "
-        f"seed={config.seed} mask={mask_bits} threshold={config.threshold}")
-
-    consecutive_failures = 0
     try:
+        state = build_state(config)
+        mask_bits = state.configured.mask.as_tuple()
+        run = RunLog(family=config.family, variant=config.variant,
+                     seed=config.seed, mask_bits=mask_bits, output_dir=out_dir)
+        log(f"run start: family={config.family} variant={config.variant} "
+            f"seed={config.seed} mask={mask_bits} threshold={config.threshold}")
+
+        consecutive_failures = 0
         for i in range(config.n_tasks):
             task = generate_task(config.family, i, config.seed, config.dt_ms)
             outcome = run_inner_task(state, task, config)
@@ -281,6 +288,9 @@ def run_family(config: ExperimentConfig,
                 f"wall={outcome.wall_time:.2f}s"
                 + (f" error={outcome.error}" if outcome.error else ""))
             if out_dir:
+                metrics_csv.writerow([outcome.task_index, int(outcome.converged),
+                                      outcome.iterations_used, repr(outcome.final_loss)])
+                metrics_fh.flush()
                 last_two = i >= config.n_tasks - 2
                 if (i + 1) % config.checkpoint_every == 0 or last_two:
                     _save_checkpoint(state, config, i, out_dir)
@@ -298,13 +308,12 @@ def run_family(config: ExperimentConfig,
                     log(f"early stop after {consecutive_failures} consecutive failures")
                     break
         metrics = compute_metrics(run.outcomes)
-        if out_dir:
-            _write_metrics_csv(os.path.join(out_dir, "metrics.csv"), run.outcomes)
         log(f"run end: failures={metrics.failure_count} "
             f"tasks={len(run.outcomes)} early_stopped={run.early_stopped}")
     finally:
-        if events is not None:
-            events.close()
+        for fh in (events, metrics_fh):
+            if fh is not None:
+                fh.close()
     return metrics, run
 
 
@@ -363,15 +372,6 @@ def compute_metrics(outcomes: list[TaskOutcome]) -> L2LMetrics:
             final_eff[k] = float(np.mean(tail)) if tail else float("nan")
     return L2LMetrics(failure_count=failure_count, adaptation_speed=speed,
                       final_efficiency=final_eff)
-
-
-def _write_metrics_csv(path, outcomes: list[TaskOutcome]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task_index", "converged", "iterations", "final_loss"])
-        for o in outcomes:
-            writer.writerow([o.task_index, int(o.converged),
-                             o.iterations_used, repr(o.final_loss)])
 
 
 def _sort_key(metrics: L2LMetrics):

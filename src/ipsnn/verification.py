@@ -1,6 +1,7 @@
 """Built-in verification routines behind `ipsnn selftest` and the test suite.
 
-Each check pits a production path against an independent route: smooth-mode
+Each check pits a production path against an independent route: the
+simulator against a plain per-step recursion of its equations, smooth-mode
 backprop against central finite differences, the Louvain heuristic against
 exhaustive partition search with a from-scratch quality evaluation, the OU
 noise state against its closed-form stationary variance, and the task
@@ -9,17 +10,57 @@ generators against their declared tensor layout.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import objective
 from .core import (IntrinsicProperties, NetworkConfig, NetworkWeights,
-                   forward_trial, init_weights, noise_step)
+                   TrialRecording, forward_trial, init_weights,
+                   noise_sequence)
 from .gradients import (DifferentiationMode, finite_difference_oracle,
                         task_gradients, task_loss)
-from .modularity import CommunityAssignment, LayeredNetwork, louvain_optimize
+from .modularity import (CommunityAssignment, LayeredNetwork, louvain_optimize,
+                         modularity_Q)
 from .tasks import (PeriodSchedule, TaskFamilySpec, TaskInstance, Trial,
                     generate_task)
 from .plasticity import FAMILIES
+
+
+# ---------------------------------------------------------------------------
+# forward replay: the simulator against a plain per-step recursion
+
+
+def reference_forward(weights: NetworkWeights, props: IntrinsicProperties,
+                      config: NetworkConfig, inputs: np.ndarray, *,
+                      spike_mode: str = "hard", smooth_width: float = 1.0,
+                      lesion_mask: np.ndarray | None = None,
+                      noise_values: np.ndarray | None = None) -> TrialRecording:
+    """The ``core`` docstring equations stepped one timestep at a time, each
+    step with its own input product ``W_in x(t)`` and readout (``forward_trial``
+    does both once per trial); the noise is ``noise_values``, or zero."""
+    t_steps, n = len(inputs), config.n_neurons
+    noise = np.zeros((t_steps, n)) if noise_values is None else noise_values
+    v, v_d = np.full(n, config.v_reset), np.zeros((n, config.n_dendrites))
+    trace = emitted = np.zeros(n)
+    steps = []
+    for t in range(t_steps):
+        drive = weights.w_in @ inputs[t] + weights.w_rec @ trace  # [D, n] or [n]
+        if config.dendritic:
+            v_d = props.tau_d * v_d + (1.0 - props.tau_d) * drive.T
+            drive = v_d.sum(axis=1)
+        v_pre = props.tau_s * v + (1.0 - props.tau_s) * drive + noise[t]
+        if spike_mode == "hard":
+            s = (v_pre >= props.theta).astype(np.float64)
+            v = np.where(s > 0, config.v_reset, v_pre)
+        else:
+            s = 1.0 / (1.0 + np.exp(-(v_pre - props.theta) / smooth_width))
+            v = v_pre + (config.v_reset - v_pre) * s
+        # M(t) from M(t-1) and the spikes emitted at step t-1
+        trace = config.alpha * trace + (1.0 - config.alpha) * emitted
+        emitted = s if lesion_mask is None else np.where(lesion_mask, 0.0, s)
+        steps.append((v_pre, v_d, emitted, s, trace, weights.w_out @ trace))
+    return TrialRecording(inputs, *map(np.array, zip(*steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +68,7 @@ from .plasticity import FAMILIES
 
 
 def _random_setup(seed: int, n_neurons: int, t_steps: int, in_dim: int,
-                  out_dim: int, dendritic: bool):
+                  out_dim: int, dendritic: bool, n_trials: int = 1):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 21]))
     config = NetworkConfig(n_neurons=n_neurons,
                            n_dendrites=2 if dendritic else 0,
@@ -40,46 +81,50 @@ def _random_setup(seed: int, n_neurons: int, t_steps: int, in_dim: int,
         tau_s=rng.uniform(0.2, 0.9, size=n_neurons),
         theta=rng.uniform(0.5, 1.2, size=n_neurons),
     )
-    inputs = rng.uniform(0.0, 1.0, size=(t_steps, in_dim))
-    targets = rng.uniform(0.0, 1.0, size=(t_steps, out_dim))
-    # realized noise sequence, pinned so every evaluation sees the same draws
-    noise = np.empty((t_steps, n_neurons))
-    state = np.zeros(n_neurons)
-    for t in range(t_steps):
-        state = noise_step(state, rng.standard_normal(n_neurons), config)
-        noise[t] = state
+    inputs = rng.uniform(0.0, 1.0, size=(n_trials, t_steps, in_dim))
+    targets = rng.uniform(0.0, 1.0, size=(n_trials, t_steps, out_dim))
+    # realized noise per trial, pinned so every evaluation sees the same draws
+    noise = np.stack([noise_sequence(rng.standard_normal((t_steps, n_neurons)), config)
+                      for _ in range(n_trials)])
     return config, weights, props, inputs, targets, noise
 
 
-def one_trial_task(inputs: np.ndarray, targets: np.ndarray) -> TaskInstance:
-    """A task of one MSE trial around given [T, in] inputs and [T, out]
+def mse_task(inputs: np.ndarray, targets: np.ndarray) -> TaskInstance:
+    """A task of MSE trials around [B, T, in] inputs and [B, T, out]
     targets. It has no period schedule: the MSE loss does not use one."""
-    spec = TaskFamilySpec("one-trial", inputs.shape[1], 0, targets.shape[1],
-                          "MSE", fixation_dim=0, trials_per_task=1)
-    return TaskInstance("one-trial", 0, 0, None, spec,
-                        [Trial(inputs=inputs, targets=targets, label=0)])
+    spec = TaskFamilySpec("mse", inputs.shape[-1], 0, targets.shape[-1],
+                          "MSE", fixation_dim=0, trials_per_task=len(inputs))
+    return TaskInstance("mse", 0, 0, None, spec,
+                        [Trial(inputs=x, targets=y, label=0)
+                         for x, y in zip(inputs, targets)])
 
 
 def gradient_check(seed: int, n_neurons: int = 8, t_steps: int = 30,
                    in_dim: int = 3, out_dim: int = 3, dendritic: bool = True,
-                   smooth_width: float = 1.0, h: float = 1e-5) -> float:
+                   smooth_width: float = 1.0, h: float = 1e-5,
+                   n_trials: int = 1, lesioned: bool = False) -> float:
     """Max relative error between smooth-mode backprop and finite differences.
 
+    The loss is ``task_loss`` of an ``n_trials``-trial MSE task;
+    ``lesioned`` silences every third neuron in training and evaluation.
     The denominator floors at 1e-4 of the largest finite-difference entry so
     near-zero coordinates are judged on the gradient's own scale.
     """
     config, weights, props, inputs, targets, noise = _random_setup(
-        seed, n_neurons, t_steps, in_dim, out_dim, dendritic)
+        seed, n_neurons, t_steps, in_dim, out_dim, dendritic, n_trials)
     lw = objective.LossWeights()
     mode = DifferentiationMode("smooth", smooth_width)
-    task = one_trial_task(inputs, targets)
+    task = mse_task(inputs, targets)
+    lesion = np.arange(n_neurons) % 3 == 0 if lesioned else None
 
-    rec = forward_trial(weights, props, config, inputs, spike_mode="smooth",
-                        smooth_width=smooth_width, noise_values=noise)
-    _, grads = task_gradients([rec], task, weights, props, config, mode, lw, 0.0)
-    analytic = {"w_in": grads.d_w_in, "w_rec": grads.d_w_rec,
-                "w_out": grads.d_w_out, "tau_d": grads.d_tau_d,
-                "tau_s": grads.d_tau_s, "theta": grads.d_theta}
+    def run(w, p):
+        return [forward_trial(w, p, config, x, spike_mode="smooth",
+                              smooth_width=smooth_width, lesion_mask=lesion,
+                              noise_values=z)
+                for x, z in zip(inputs, noise)]
+
+    _, grads = task_gradients(run(weights, props), task, weights, props,
+                              config, mode, lw, 0.0, lesion_mask=lesion)
 
     def loss_fn(params):
         w = NetworkWeights(
@@ -89,27 +134,23 @@ def gradient_check(seed: int, n_neurons: int = 8, t_steps: int = 30,
             else params["w_rec"] * weights.mask_rec,
             params["w_out"], weights.mask_in, weights.mask_rec)
         p = IntrinsicProperties(params["tau_d"], params["tau_s"], params["theta"])
-        r = forward_trial(w, p, config, inputs, spike_mode="smooth",
-                          smooth_width=smooth_width, noise_values=noise)
-        return task_loss([r], task, w, lw, 0.0).total
+        return task_loss(run(w, p), task, w, lw, 0.0).total
 
     params = {"w_in": weights.w_in.copy(), "w_rec": weights.w_rec.copy(),
               "w_out": weights.w_out.copy(), "tau_d": props.tau_d.copy(),
               "tau_s": props.tau_s.copy(), "theta": props.theta.copy()}
-    numeric = finite_difference_oracle(loss_fn, params, h)
-    return max_relative_error(analytic, numeric)
+    analytic = {name: getattr(grads, "d_" + name) for name in params}
+    return max_relative_error(analytic, finite_difference_oracle(loss_fn, params, h))
 
 
 def max_relative_error(analytic: dict, numeric: dict) -> float:
-    g_max = max(np.max(np.abs(g)) if g.size else 0.0 for g in numeric.values())
+    g_max = max(np.max(np.abs(g), initial=0.0) for g in numeric.values())
     floor = max(1e-4 * g_max, 1e-12)
     worst = 0.0
     for name, b in numeric.items():
         a = analytic[name]
-        if a.size == 0:
-            continue
         denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-        worst = max(worst, float(np.max(np.abs(a - b) / denom)))
+        worst = max(worst, float(np.max(np.abs(a - b) / denom, initial=0.0)))
     return worst
 
 
@@ -182,9 +223,29 @@ def check_gradients(n_seeds: int = 5, tol: float = 1e-4) -> tuple[bool, str]:
     return worst <= tol, f"max relative error {worst:.3g} (tol {tol:g})"
 
 
-def check_modularity_oracle(n_fixtures: int = 6) -> tuple[bool, str]:
-    from .modularity import modularity_Q
+def check_forward_replay(tol: float = 1e-12) -> tuple[bool, str]:
+    """``forward_trial`` against ``reference_forward`` on seeded 8-neuron
+    networks whose inputs are scaled up so that most neurons spike: dendritic
+    and point mode, hard and smooth spikes, with and without a lesion and
+    pinned noise. Deviations are relative to the reference, floored at 1."""
+    worst = 0.0
+    cases = itertools.product((True, False), ("hard", "smooth"), (False, True),
+                              (True, False))
+    for seed, (dendritic, spike_mode, lesioned, pinned) in enumerate(cases):
+        config, weights, props, inputs, _, noise = _random_setup(
+            seed, 8, 40, 3, 3, dendritic)
+        kwargs = dict(spike_mode=spike_mode,
+                      lesion_mask=np.arange(8) % 3 == 0 if lesioned else None,
+                      noise_values=noise[0] if pinned else None)
+        got, ref = (run(weights, props, config, 4.0 * inputs[0], **kwargs)
+                    for run in (forward_trial, reference_forward))
+        for a, b in zip(vars(got).values(), vars(ref).values()):
+            worst = max(worst, np.inf if a.shape != b.shape else float(
+                np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0), initial=0.0)))
+    return worst <= tol, f"max relative deviation {worst:.3g} (tol {tol:g})"
 
+
+def check_modularity_oracle(n_fixtures: int = 6) -> tuple[bool, str]:
     rng = np.random.default_rng(np.random.SeedSequence([77, 3]))
     worst = 0.0
     for i in range(n_fixtures):
@@ -232,12 +293,7 @@ def check_noise_variance(n_samples: int = 1_000_000) -> tuple[bool, str]:
     warmup = 50
     steps = warmup + n_samples // chains
     rng = np.random.default_rng(np.random.SeedSequence([55, 4]))
-    state = np.zeros(chains)
-    samples = np.empty((steps - warmup, chains))
-    for t in range(steps):
-        state = noise_step(state, rng.standard_normal(chains), config)
-        if t >= warmup:
-            samples[t - warmup] = state
+    samples = noise_sequence(rng.standard_normal((steps, chains)), config)[warmup:]
     target = (2.0 * config.alpha_noise * config.a_noise ** 2
               / (1.0 - (1.0 - config.alpha_noise) ** 2))
     observed = float(samples.var())
@@ -246,6 +302,7 @@ def check_noise_variance(n_samples: int = 1_000_000) -> tuple[bool, str]:
 
 
 SELFTEST_CHECKS = [
+    ("forward-replay", check_forward_replay),
     ("gradient-check", check_gradients),
     ("modularity-oracle", check_modularity_oracle),
     ("generator-shapes", check_generator_shapes),
@@ -255,13 +312,15 @@ SELFTEST_CHECKS = [
 FAST_SKIP = {"noise-variance"}  # Monte-Carlo; skipped with --fast
 
 
-def run_selftest(fast: bool = False, report=print) -> bool:
-    ok = True
+def run_selftest(fast: bool = False) -> list[str]:
+    """Run the checks, printing one line each; returns the failed names."""
+    failed = []
     for name, check in SELFTEST_CHECKS:
         if fast and name in FAST_SKIP:
-            report(f"SKIP {name} (fast mode)")
+            print(f"SKIP {name} (fast mode)")
             continue
         passed, detail = check()
-        ok = ok and passed
-        report(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-    return ok
+        if not passed:
+            failed.append(name)
+        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+    return failed

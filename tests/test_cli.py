@@ -217,6 +217,7 @@ class TestSelftest:
     def test_fast_mode_passes(self, capsys):
         assert cli.main(["selftest", "--fast"]) == 0
         out = capsys.readouterr().out
+        assert "PASS forward-replay" in out
         assert "PASS gradient-check" in out
         assert "SKIP noise-variance" in out
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from ipsnn import verification
 from ipsnn.core import (IntrinsicProperties, NetworkConfig, NetworkWeights,
-                        dendrite_step, forward_trial, init_weights,
-                        noise_step, readout, soma_step, spike_and_reset,
-                        trace_step)
+                        forward_trial, init_weights, noise_sequence,
+                        noise_step, spike_and_reset, trace_step)
 
 
 def make_props(n, d, tau_d=0.5, tau_s=0.5, theta=1.0):
@@ -93,66 +93,87 @@ class TestNoiseStep:
         assert np.array_equal(got, ref)
 
 
+def point_weights(w_in, w_out=None):
+    """Point-mode weights from a dense [n, in] input matrix, no recurrence."""
+    n = w_in.shape[0]
+    return NetworkWeights(np.asarray(w_in, float), np.zeros((n, n)),
+                          np.zeros((1, n)) if w_out is None else np.asarray(w_out, float))
+
+
 class TestDendriteStep:
+    """The branch update Vd = tau_d Vd + (1 - tau_d) drive, via forward_trial."""
+
     def test_full_decay_holds_previous(self):
-        cfg = NetworkConfig(n_neurons=2, n_dendrites=2)
-        w = init_weights(cfg, 3, 1, seed=0)
-        props = make_props(2, 2, tau_d=1.0)
-        v_d = np.array([[0.3, -0.1], [0.2, 0.4]])
-        out = dendrite_step(v_d, np.ones(3), np.ones(2), w, props, cfg)
-        assert np.array_equal(out, v_d)
+        # tau_d = 1 holds every branch at its initial 0 under any drive
+        cfg = NetworkConfig(n_neurons=2, n_dendrites=2, noise_enabled=False)
+        w = init_weights(cfg, 3, 1, seed=0, gain_in=5.0, gain_rec=5.0)
+        props = make_props(2, 2, tau_d=1.0, theta=-1.0)
+        rec = forward_trial(w, props, cfg, np.ones((5, 3)))
+        assert rec.spikes.sum() > 0
+        assert np.all(rec.v_d == 0.0)
 
     def test_zero_drive_zero_decay(self):
-        cfg = NetworkConfig(n_neurons=2, n_dendrites=2)
-        w = init_weights(cfg, 3, 1, seed=0)
-        props = make_props(2, 2, tau_d=0.0)
-        out = dendrite_step(np.ones((2, 2)), np.zeros(3), np.zeros(2), w,
-                            props, cfg)
-        assert np.all(out == 0.0)
+        # tau_d = 0: once the drive is zero, every branch is zero at once
+        cfg = NetworkConfig(n_neurons=2, n_dendrites=2, noise_enabled=False)
+        w = init_weights(cfg, 3, 1, seed=0, gain_rec=0.0)
+        props = make_props(2, 2, tau_d=0.0, theta=10.0)
+        x = np.zeros((5, 3))
+        x[:2] = 1.0
+        rec = forward_trial(w, props, cfg, x)
+        assert np.any(rec.v_d[1] != 0.0)
+        assert np.all(rec.v_d[2:] == 0.0)
 
     def test_hand_value(self):
-        # tau_d=0.5, V_d=1, drive=2 -> 0.5*1 + 0.5*2 = 1.5
-        cfg = NetworkConfig(n_neurons=1, n_dendrites=1)
+        # tau_d=0.5, w_in=2, x=1: V_d = 0.5*0 + 0.5*2 = 1, then
+        # 0.5*1 + 0.5*2 = 1.5
+        cfg = NetworkConfig(n_neurons=1, n_dendrites=1, noise_enabled=False)
         w = NetworkWeights(w_in=np.full((1, 1, 1), 2.0),
                            w_rec=np.zeros((1, 1, 1)),
                            w_out=np.zeros((1, 1)),
                            mask_in=np.ones((1, 1, 1)),
                            mask_rec=np.ones((1, 1, 1)))
-        props = make_props(1, 1, tau_d=0.5)
-        out = dendrite_step(np.ones((1, 1)), np.ones(1), np.zeros(1), w,
-                            props, cfg)
-        assert out[0, 0] == pytest.approx(1.5, abs=1e-15)
+        props = make_props(1, 1, tau_d=0.5, theta=10.0)
+        rec = forward_trial(w, props, cfg, np.ones((2, 1)))
+        assert rec.v_d[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert rec.v_d[1, 0, 0] == pytest.approx(1.5, abs=1e-15)
 
     def test_requires_dendrites(self):
-        cfg = NetworkConfig(n_neurons=1, n_dendrites=0)
-        w = init_weights(cfg, 1, 1, seed=0)
+        # the config's branch count must match the weight layout
+        point = NetworkConfig(n_neurons=1, n_dendrites=0)
+        dend = NetworkConfig(n_neurons=1, n_dendrites=2)
+        w_point = init_weights(point, 1, 1, seed=0)
         with pytest.raises(ValueError):
-            dendrite_step(np.zeros((1, 0)), np.zeros(1), np.zeros(1), w,
-                          make_props(1, 0), cfg)
+            forward_trial(w_point, make_props(1, 2), dend, np.zeros((3, 1)))
+        with pytest.raises(ValueError):
+            forward_trial(init_weights(dend, 1, 1, seed=0), make_props(1, 0),
+                          point, np.zeros((3, 1)))
 
 
 class TestSomaStep:
+    """V = tau_s V + (1 - tau_s) drive + N, via forward_trial (point mode)."""
+
     def test_pure_hold(self):
-        cfg = NetworkConfig(n_neurons=2)
-        props = make_props(2, 2, tau_s=1.0)
-        v = np.array([0.3, -0.6])
-        out = soma_step(v, np.array([5.0, 5.0]), np.zeros(2), props, cfg)
-        assert np.array_equal(out, v)
+        cfg = NetworkConfig(n_neurons=2, n_dendrites=0, v_reset=0.3,
+                            noise_enabled=False)
+        props = make_props(2, 0, tau_s=1.0)
+        rec = forward_trial(point_weights(np.full((2, 1), 5.0)), props, cfg,
+                            np.ones((4, 1)))
+        assert np.all(rec.v == 0.3)
 
     def test_memoryless(self):
-        cfg = NetworkConfig(n_neurons=2)
-        props = make_props(2, 2, tau_s=0.0)
-        drive = np.array([1.5, -2.0])
-        out = soma_step(np.ones(2), drive, np.zeros(2), props, cfg)
-        assert np.array_equal(out, drive)
+        cfg = NetworkConfig(n_neurons=2, n_dendrites=0, noise_enabled=False)
+        props = make_props(2, 0, tau_s=0.0, theta=10.0)
+        rec = forward_trial(point_weights(np.array([[1.5], [-2.0]])), props,
+                            cfg, np.ones((4, 1)))
+        assert np.array_equal(rec.v, np.tile([1.5, -2.0], (4, 1)))
 
     def test_hand_value(self):
         # 0.5*0.4 + 0.5*1.0 + 0.1 = 0.8 (noise added outside the leak factor)
-        cfg = NetworkConfig(n_neurons=1)
-        props = make_props(1, 2, tau_s=0.5)
-        out = soma_step(np.array([0.4]), np.array([1.0]), np.array([0.1]),
-                        props, cfg)
-        assert out[0] == pytest.approx(0.8, abs=1e-15)
+        cfg = NetworkConfig(n_neurons=1, n_dendrites=0, v_reset=0.4)
+        props = make_props(1, 0, tau_s=0.5, theta=10.0)
+        rec = forward_trial(point_weights(np.ones((1, 1))), props, cfg,
+                            np.ones((1, 1)), noise_values=np.full((1, 1), 0.1))
+        assert rec.v[0, 0] == pytest.approx(0.8, abs=1e-15)
 
 
 class TestSpikeAndReset:
@@ -190,19 +211,33 @@ class TestTraceStep:
 
 
 class TestReadout:
+    """y = W_out M, via forward_trial."""
+
     def test_zero_trace(self):
-        w = NetworkWeights(np.zeros((2, 3)), np.zeros((2, 2)), np.ones((4, 2)))
-        assert np.all(readout(np.zeros(2), w) == 0.0)
+        cfg = NetworkConfig(n_neurons=2, n_dendrites=0, noise_enabled=False)
+        w = point_weights(np.ones((2, 3)), w_out=np.ones((4, 2)))
+        rec = forward_trial(w, make_props(2, 0, theta=10.0), cfg,
+                            np.ones((5, 3)))
+        assert np.all(rec.trace == 0.0) and np.all(rec.readout == 0.0)
 
     def test_identity(self):
-        w = NetworkWeights(np.zeros((2, 3)), np.zeros((2, 2)), np.eye(2))
-        trace = np.array([0.3, 0.8])
-        assert np.array_equal(readout(trace, w), trace)
+        cfg = NetworkConfig(n_neurons=2, n_dendrites=0, noise_enabled=False)
+        w = point_weights(np.array([[1.0], [0.6]]), w_out=np.eye(2))
+        x = np.random.default_rng(0).uniform(size=(20, 1))
+        rec = forward_trial(w, make_props(2, 0, tau_s=0.0, theta=0.5), cfg, x)
+        assert rec.trace.sum() > 0
+        assert np.array_equal(rec.readout, rec.trace)
 
     def test_hand_dot(self):
-        w = NetworkWeights(np.zeros((2, 3)), np.zeros((2, 2)),
-                           np.array([[1.0, 2.0]]))
-        assert readout(np.array([0.5, 0.25]), w)[0] == pytest.approx(1.0)
+        # alpha = 0.5; neuron 1 spikes at step 0, neuron 0 at step 1, so
+        # M(2) = [0.5, 0.25] and y(2) = 1*0.5 + 2*0.25 = 1
+        cfg = NetworkConfig(n_neurons=2, n_dendrites=0, alpha=0.5,
+                            noise_enabled=False)
+        w = point_weights(np.eye(2), w_out=np.array([[1.0, 2.0]]))
+        x = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+        rec = forward_trial(w, make_props(2, 0, tau_s=0.0, theta=0.5), cfg, x)
+        assert rec.trace[2].tolist() == [0.5, 0.25]
+        assert rec.readout[2, 0] == pytest.approx(1.0)
 
 
 class TestWeights:
@@ -335,6 +370,32 @@ class TestForwardTrial:
         assert np.all(rec.spikes[:, 0] == 0.0)
         # membrane keeps running and crossing threshold internally
         assert rec.spikes_internal[:, 0].sum() > 0
+
+    @pytest.mark.parametrize("dendritic", [True, False])
+    @pytest.mark.parametrize("spike_mode", ["hard", "smooth"])
+    @pytest.mark.parametrize("lesioned", [False, True])
+    @pytest.mark.parametrize("pinned_noise", [False, True])
+    def test_matches_reference_recursion(self, dendritic, spike_mode, lesioned,
+                                         pinned_noise):
+        # the plain recursion forms W_in x(t) and the readout on every step
+        cfg = NetworkConfig(n_neurons=8, n_dendrites=2 if dendritic else 0)
+        w = init_weights(cfg, 3, 2, seed=5, gain_in=3.0, gain_rec=2.0)
+        rng = np.random.default_rng(6)
+        props = IntrinsicProperties(rng.uniform(0.2, 0.9, (8, cfg.n_dendrites)),
+                                    rng.uniform(0.2, 0.9, 8),
+                                    rng.uniform(0.3, 1.0, 8))
+        x = rng.uniform(0.0, 2.0, (60, 3))
+        kwargs = dict(
+            spike_mode=spike_mode,
+            lesion_mask=np.arange(8) % 3 == 0 if lesioned else None,
+            noise_values=(noise_sequence(rng.standard_normal((60, 8)), cfg)
+                          if pinned_noise else None))
+        got = forward_trial(w, props, cfg, x, **kwargs)
+        ref = verification.reference_forward(w, props, cfg, x, **kwargs)
+        assert np.any(ref.v >= props.theta) and np.any(ref.v < props.theta)
+        for key in ("v", "v_d", "spikes", "spikes_internal", "trace", "readout"):
+            np.testing.assert_allclose(getattr(got, key), getattr(ref, key),
+                                       rtol=1e-12, atol=1e-12, err_msg=key)
 
     def test_rejects_wrong_input_width(self):
         cfg = NetworkConfig(n_neurons=2)

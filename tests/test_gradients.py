@@ -11,7 +11,7 @@ from ipsnn.gradients import (AdamState, DifferentiationMode, GradientError,
 from ipsnn.objective import LossWeights
 from ipsnn.plasticity import LearningMask
 from ipsnn.tasks import generate_task
-from ipsnn.verification import gradient_check, one_trial_task
+from ipsnn.verification import gradient_check, mse_task
 
 
 class TestSurrogate:
@@ -51,7 +51,7 @@ class TestFiniteDifferenceOracle:
 def one_trial_gradients(rec, inputs, targets, weights, props, config, mode,
                         loss_weights=None, learning_mask=None):
     """``task_gradients`` of a task consisting of one MSE trial."""
-    _, grads = task_gradients([rec], one_trial_task(inputs, targets), weights,
+    _, grads = task_gradients([rec], mse_task(inputs[None], targets[None]), weights,
                               props, config, mode, loss_weights or LossWeights(),
                               0.0, learning_mask=learning_mask)
     return grads
@@ -131,6 +131,14 @@ class TestBackwardTrial:
         assert np.isfinite(bd.total)
         for name in ("d_w_in", "d_w_rec", "d_w_out"):
             assert np.all(np.isfinite(getattr(grads, name)))
+
+    @pytest.mark.parametrize("dendritic", [True, False])
+    def test_lesioned_three_trial_task_matches_fd(self, dendritic):
+        # per-trial accumulation, the silenced spikes of a lesion and point
+        # mode, against central differences of the task loss
+        assert gradient_check(seed=6, n_neurons=6, t_steps=15,
+                              dendritic=dendritic, n_trials=3,
+                              lesioned=True) < 1e-4
 
     def test_masked_weights_receive_no_gradient(self):
         cfg, w, props, x, tgt, rec = self._setup(seed=7)

@@ -146,6 +146,23 @@ class TestRunFamily:
         rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
         assert len(rows) == 1 + 3
 
+    def test_metrics_rows_survive_a_crash(self, tmp_path, monkeypatch):
+        real = harness.generate_task
+
+        def fails_on_task_2(family, task_index, *args, **kwargs):
+            if task_index == 2:
+                raise RuntimeError("generator crashed")
+            return real(family, task_index, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_task", fails_on_task_2)
+        config = tiny(n_tasks=4, max_iters=3, min_iters=3,
+                      output_dir=str(tmp_path / "run"))
+        with pytest.raises(RuntimeError, match="generator crashed"):
+            run_family(config)
+        rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        assert rows[0] == "task_index,converged,iterations,final_loss"
+        assert [r.split(",")[0] for r in rows[1:]] == ["0", "1"]
+
     def test_deterministic_artifacts(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
