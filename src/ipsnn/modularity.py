@@ -11,9 +11,15 @@ Quality of a labeling g is
                   + sum_j sum_{|l-r|=1} C d(g_jl, g_jr) ]
 
 with 2mu = sum_l 2m_l + total inter-layer coupling. The i = j null-model
-terms stay in the sum (d(g,g) = 1), following the usual convention.
-Optimization runs a generalized Louvain (local moves + aggregation) on the
-supra-modularity matrix, restarted over seeded node orders.
+terms stay in the sum (d(g,g) = 1), following the usual convention. When
+2mu = 0 (no positive edge and no coupling) every labeling scores the same,
+and Q is defined as 0.0.
+
+Optimization runs a generalized Louvain (local moves + aggregation),
+restarted over seeded node orders, on the per-layer blocks
+B_l = A_l - gamma_l k_l k_l^T / 2m_l and the coupling C. The nL x nL
+supra-modularity matrix is never formed: memory is O(L n^2) plus the
+c x c matrix of the c communities an aggregation round merges.
 """
 
 from __future__ import annotations
@@ -113,71 +119,84 @@ def build_layers(v: np.ndarray, window_steps: int, stride: int,
                           coupling=coupling)
 
 
+def modularity_blocks(network: LayeredNetwork) -> np.ndarray:
+    """[L, n, n] per-layer quality contributions B[l] = A_l - gamma_l k k^T / 2m_l
+    (B[l] = A_l when 2m_l = 0)."""
+    blocks = network.adjacency.copy()
+    for l, a in enumerate(network.adjacency):
+        k = a.sum(axis=1)
+        two_m = k.sum()
+        if two_m > 0:
+            blocks[l] -= network.gamma[l] * np.outer(k, k) / two_m
+    return blocks
+
+
+def _quality(blocks: np.ndarray, coupling: float, two_mu: float,
+             labels: np.ndarray) -> float:
+    """Q of an [L, n] labeling from the blocks; 0.0 when 2mu = 0."""
+    if two_mu == 0:
+        return 0.0
+    total = 0.0
+    for block, layer in zip(blocks, labels):
+        total += block[layer[:, None] == layer[None, :]].sum()
+    for l in range(len(labels) - 1):
+        total += 2.0 * coupling * (labels[l] == labels[l + 1]).sum()
+    return float(total / two_mu)
+
+
 def modularity_Q(network: LayeredNetwork, assignment: CommunityAssignment) -> float:
     """Evaluate the multilayer quality of a labeling."""
     labels = assignment.labels
     if labels.shape != (network.n_layers, network.n_nodes):
         raise ValueError("labels do not match the network shape")
-    total = 0.0
-    for l in range(network.n_layers):
-        a = network.adjacency[l]
-        k = a.sum(axis=1)
-        two_m = k.sum()
-        same = labels[l][:, None] == labels[l][None, :]
-        if two_m > 0:
-            b = a - network.gamma[l] * np.outer(k, k) / two_m
-        else:
-            b = a
-        total += b[same].sum()
-    for l in range(network.n_layers - 1):
-        match = labels[l] == labels[l + 1]
-        total += 2.0 * network.coupling * match.sum()
-    return float(total / network.two_mu())
+    return _quality(modularity_blocks(network), network.coupling,
+                    network.two_mu(), labels)
 
 
-def supra_modularity_matrix(network: LayeredNetwork) -> np.ndarray:
-    """Stack layers into one [nL, nL] matrix whose within-block entries are
-    the modularity contributions and whose off-blocks hold the coupling."""
-    n, n_layers = network.n_nodes, network.n_layers
-    big = np.zeros((n * n_layers, n * n_layers))
-    for l in range(n_layers):
-        a = network.adjacency[l]
-        k = a.sum(axis=1)
-        two_m = k.sum()
-        block = a.copy()
-        if two_m > 0:
-            block -= network.gamma[l] * np.outer(k, k) / two_m
-        sl = slice(l * n, (l + 1) * n)
-        big[sl, sl] = block
-    idx = np.arange(n)
-    for l in range(n_layers - 1):
-        big[l * n + idx, (l + 1) * n + idx] = network.coupling
-        big[(l + 1) * n + idx, l * n + idx] = network.coupling
-    return big
+def _move_weights(blocks: np.ndarray, coupling: float) -> np.ndarray:
+    """[L, n, n + 2]: row (l, i) is B[l, i] between the coupling of (l, i) to
+    (l - 1, i) and to (l + 1, i), the order of the supra-matrix row."""
+    n_layers = len(blocks)
+    weights = np.pad(blocks, ((0, 0), (0, 0), (1, 1)))
+    weights[1:, :, 0] = coupling
+    weights[:n_layers - 1, :, -1] = coupling
+    return weights
 
 
-def _q_from_supra(big: np.ndarray, flat_labels: np.ndarray, two_mu: float) -> float:
-    same = flat_labels[:, None] == flat_labels[None, :]
-    return float(big[same].sum() / two_mu)
+def _padded(labels: np.ndarray) -> np.ndarray:
+    """[L, n] labels with a column either side for the coupled neighbours'."""
+    return np.pad(labels, ((0, 0), (1, 1)))
 
 
-def _local_moves(big: np.ndarray, labels: np.ndarray,
+def _local_moves(weights: np.ndarray, labels: np.ndarray,
                  rng: np.random.Generator) -> bool:
-    """Greedy node moves until no single move raises the objective."""
-    n = len(labels)
+    """Greedy node moves until no single move raises the objective.
+
+    ``weights`` comes from ``_move_weights`` and ``labels`` from ``_padded``;
+    before node (l, i) is visited, the pad columns of layer l take the labels
+    of (l - 1, i) and (l + 1, i), so one bincount over the layer gives its
+    per-community sums. ``top`` bounds the largest label in use, so every
+    visit also sees one empty community.
+    """
+    n_layers, n = labels.shape[0], labels.shape[1] - 2
+    top = int(labels.max())
     improved_any = False
     while True:
         moved = False
-        for v in rng.permutation(n):
-            row = big[v]
-            sums = np.bincount(labels, weights=row, minlength=labels.max() + 2)
-            own = labels[v]
-            base = sums[own] - big[v, v]  # B[v,v] travels with the node
-            gains = sums - base
-            gains[own] = 0.0
-            best = int(np.argmax(gains))
-            if gains[best] > 1e-12 and best != own:
-                labels[v] = best
+        for v in rng.permutation(n_layers * n).tolist():
+            l, i = divmod(v, n)
+            row = labels[l]
+            # at the first and last layer the wrapped-around pad has weight 0
+            row[0], row[-1] = labels[l - 1, i + 1], labels[(l + 1) % n_layers, i + 1]
+            w = weights[l, i]
+            sums = np.bincount(row, weights=w, minlength=top + 2)
+            own = row[i + 1]
+            sums -= sums[own] - w[i + 1]  # B[v,v] travels with the node
+            sums[own] = 0.0
+            best = int(sums.argmax())
+            if sums[best] > 1e-12:
+                row[i + 1] = best
+                top = max(top, best)
                 moved = True
         if not moved:
             break
@@ -185,36 +204,48 @@ def _local_moves(big: np.ndarray, labels: np.ndarray,
     return improved_any
 
 
+def _aggregate(blocks: np.ndarray, coupling: float, mapping: np.ndarray,
+               n_comm: int) -> np.ndarray:
+    """Move weights [1, c, c + 2] of the community network of an [L, n]
+    ``mapping``: entry [0, c, d + 1] sums the supra-node pair contributions
+    between communities c and d, and the pad columns stay zero."""
+    width = n_comm + 2
+    keys = mapping[:, :, None] * width + (mapping[:, None, :] + 1)
+    agg = np.bincount(keys.ravel(), weights=blocks.ravel(),
+                      minlength=n_comm * width)
+    a, b = mapping[:-1].ravel(), mapping[1:].ravel()
+    np.add.at(agg, np.concatenate([a * width + b, b * width + a]) + 1, coupling)
+    return agg.reshape(1, n_comm, width)
+
+
 def _compress(labels: np.ndarray) -> np.ndarray:
     _, compact = np.unique(labels, return_inverse=True)
-    return compact
+    return compact.reshape(labels.shape)
 
 
-def _louvain_single(big: np.ndarray, rng: np.random.Generator,
-                    init: np.ndarray | None = None) -> np.ndarray:
-    """One run: leaf-level moves and community-level moves until stable.
+def _louvain_single(blocks: np.ndarray, coupling: float, weights: np.ndarray,
+                    rng: np.random.Generator, mapping: np.ndarray) -> np.ndarray:
+    """One run from the compact [L, n] labeling ``mapping``: leaf-level moves
+    and community-level moves until stable.
 
     Refining at the leaf level between aggregation rounds lets single nodes
     escape communities that an earlier aggregation froze them into.
     """
-    n = len(big)
-    mapping = np.arange(n) if init is None else _compress(init)
+    size = mapping.size
     improved = True
     while improved:
         improved = False
-        labels = mapping.copy()
-        if _local_moves(big, labels, rng):
+        labels = _padded(mapping)
+        if _local_moves(weights, labels, rng):
             improved = True
-        mapping = _compress(labels)
-        n_comm = mapping.max() + 1
-        if n_comm < n:
-            onehot = np.zeros((n, n_comm))
-            onehot[np.arange(n), mapping] = 1.0
-            b_agg = onehot.T @ big @ onehot
-            agg_labels = np.arange(n_comm)
-            if _local_moves(b_agg, agg_labels, rng):
+        mapping = _compress(labels[:, 1:-1])
+        n_comm = int(mapping.max()) + 1
+        if n_comm < size:
+            agg_labels = _padded(np.arange(n_comm)[None])
+            if _local_moves(_aggregate(blocks, coupling, mapping, n_comm),
+                            agg_labels, rng):
                 improved = True
-                mapping = _compress(agg_labels)[mapping]
+                mapping = _compress(agg_labels[0, 1:-1])[mapping]
     return _compress(mapping)
 
 
@@ -227,28 +258,31 @@ def louvain_optimize(network: LayeredNetwork, seed=0,
     trajectory on small graphs). The returned labeling never scores below
     the all-singletons or the single-community baselines.
     """
-    big = supra_modularity_matrix(network)
-    two_mu = network.two_mu()
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    blocks = modularity_blocks(network)
+    coupling, two_mu = network.coupling, network.two_mu()
+    weights = _move_weights(blocks, coupling)
     n, n_layers = network.n_nodes, network.n_layers
     size = n * n_layers
     rng = np.random.default_rng(np.random.SeedSequence([_as_seed_int(seed), 7]))
-    best_labels = np.arange(size)
-    best_q = _q_from_supra(big, best_labels, two_mu)
-    one = np.zeros(size, dtype=int)
-    q_one = _q_from_supra(big, one, two_mu)
+    best_labels = np.arange(size).reshape(n_layers, n)
+    best_q = _quality(blocks, coupling, two_mu, best_labels)
+    one = np.zeros((n_layers, n), dtype=int)
+    q_one = _quality(blocks, coupling, two_mu, one)
     if q_one > best_q:
         best_labels, best_q = one, q_one
-    for attempt in range(max(restarts, 1)):
-        if attempt == 0:
-            init = None
-        else:
+    for attempt in range(restarts):
+        init = np.arange(size)
+        if attempt > 0:
             k = int(rng.integers(1, size + 1))
             init = rng.integers(0, k, size=size)
-        labels = _louvain_single(big, rng, init=init)
-        q = _q_from_supra(big, labels, two_mu)
+        labels = _louvain_single(blocks, coupling, weights, rng,
+                                 _compress(init.reshape(n_layers, n)))
+        q = _quality(blocks, coupling, two_mu, labels)
         if q > best_q + 1e-15:
             best_q, best_labels = q, labels
-    return CommunityAssignment(labels=best_labels.reshape(n_layers, n))
+    return CommunityAssignment(labels=best_labels)
 
 
 def _as_seed_int(seed) -> int:

@@ -174,10 +174,12 @@ def set_partitions(n: int):
 
 
 def reference_pair_matrix(network: LayeredNetwork) -> tuple[np.ndarray, float]:
-    """Per-supra-node-pair quality contributions, derived with plain loops.
+    """Per-supra-node-pair quality contributions as a dense [nL, nL] matrix,
+    derived with plain loops.
 
-    Independent of the production supra-matrix construction; used only to
-    score candidate partitions during exhaustive search.
+    Independent of the production code, which works on per-layer blocks and
+    never forms this matrix; it scores candidate partitions during
+    exhaustive search and is the oracle the modularity tests compare with.
     """
     n, n_layers = network.n_nodes, network.n_layers
     size = n * n_layers

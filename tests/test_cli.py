@@ -203,6 +203,13 @@ class TestAnalyze:
         assert cli.main(["analyze", "stats", "--run", run_dir]) == 1
         assert "recordings" in capsys.readouterr().err
 
+    def test_modularity_rejects_zero_restarts(self, run_dir, capsys):
+        assert cli.main(["analyze", "modularity", "--run", run_dir,
+                         "--window", "5", "--stride", "5",
+                         "--restarts", "0"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(run_dir, "modularity.csv"))
+
     def test_rerun_identical_outputs(self, run_dir):
         cli.main(["analyze", "modularity", "--run", run_dir,
                   "--window", "5", "--stride", "5"])

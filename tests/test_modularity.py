@@ -1,13 +1,17 @@
 """Multilayer modularity: hand fixtures, brute-force oracle, Louvain."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from ipsnn.modularity import (CommunityAssignment, LayeredNetwork,
-                              allegiance_matrix, build_layers, community_count,
-                              louvain_optimize, modularity_Q,
-                              modularity_report, stationarity,
-                              supra_modularity_matrix)
+                              _aggregate, _local_moves, _move_weights,
+                              _padded, allegiance_matrix, build_layers,
+                              community_count, louvain_optimize,
+                              modularity_blocks, modularity_Q,
+                              modularity_report, stationarity)
 from ipsnn.verification import (brute_force_best_partition,
                                 reference_pair_matrix, set_partitions)
 
@@ -26,6 +30,60 @@ def two_cliques_layer() -> np.ndarray:
 def single_layer(adj: np.ndarray, gamma=1.0) -> LayeredNetwork:
     return LayeredNetwork(adjacency=adj[None], gamma=np.array([gamma]),
                           coupling=0.0)
+
+
+def random_network(rng, n_layers, n, gamma=1.0, coupling=0.5) -> LayeredNetwork:
+    adj = np.zeros((n_layers, n, n))
+    for l in range(n_layers):
+        a = np.triu(rng.uniform(size=(n, n)) * (rng.random((n, n)) < 0.6), 1)
+        adj[l] = a + a.T
+    return LayeredNetwork(adjacency=adj, gamma=gamma, coupling=coupling)
+
+
+def dense_supra_matrix(network: LayeredNetwork) -> np.ndarray:
+    """The [nL, nL] supra-modularity matrix, assembled from the production
+    blocks so that its entries carry the same bits."""
+    n, n_layers = network.n_nodes, network.n_layers
+    big = np.zeros((n * n_layers, n * n_layers))
+    for l, block in enumerate(modularity_blocks(network)):
+        big[l * n:(l + 1) * n, l * n:(l + 1) * n] = block
+    idx = np.arange(n * (n_layers - 1))
+    big[idx, idx + n] = big[idx + n, idx] = network.coupling
+    return big
+
+
+def dense_local_moves(big, labels, rng) -> bool:
+    """Greedy moves on a dense matrix, one bincount over a whole row per visit."""
+    improved_any = False
+    while True:
+        moved = False
+        for v in rng.permutation(len(labels)):
+            sums = np.bincount(labels, weights=big[v], minlength=labels.max() + 2)
+            own = labels[v]
+            gains = sums - (sums[own] - big[v, v])
+            gains[own] = 0.0
+            best = int(np.argmax(gains))
+            if gains[best] > 1e-12 and best != own:
+                labels[v] = best
+                moved = True
+        if not moved:
+            return improved_any
+        improved_any = True
+
+
+def window_fixture() -> LayeredNetwork:
+    v = np.random.default_rng(20).normal(size=(120, 12))
+    return build_layers(v, window_steps=40, stride=40)
+
+
+def coupled_fixture() -> LayeredNetwork:
+    rng = np.random.default_rng(21)
+    adj = np.zeros((2, 8, 8))
+    for l in range(2):
+        a = np.triu(rng.uniform(size=(8, 8)), 1)
+        adj[l] = a + a.T
+    return LayeredNetwork(adjacency=adj, gamma=np.array([1.0, 1.3]),
+                          coupling=0.7)
 
 
 class TestModularityQ:
@@ -63,10 +121,10 @@ class TestModularityQ:
         net = LayeredNetwork(adjacency=adj, gamma=np.array([1.0, 1.3]),
                              coupling=0.7)
         labels = rng.integers(0, 3, size=(2, 5))
-        big = supra_modularity_matrix(net)
+        pair, two_mu = reference_pair_matrix(net)
         flat = labels.reshape(-1)
         q_direct = modularity_Q(net, CommunityAssignment(labels))
-        q_supra = big[flat[:, None] == flat[None, :]].sum() / net.two_mu()
+        q_supra = pair[flat[:, None] == flat[None, :]].sum() / two_mu
         assert q_direct == pytest.approx(q_supra, abs=1e-12)
 
     def test_matches_independent_reference(self):
@@ -91,6 +149,63 @@ class TestModularityQ:
         q_stable = modularity_Q(net, CommunityAssignment(stable))
         q_relabel = modularity_Q(net, CommunityAssignment(relabeled))
         assert q_stable > q_relabel
+
+    def test_no_positive_edge_scores_zero(self):
+        # 2mu = 0: a silent recording, one window, so no edge and no coupling
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            net = build_layers(np.full((40, 5), -65.0), window_steps=40, stride=40)
+            assert net.two_mu() == 0.0
+            result = louvain_optimize(net, seed=0, restarts=3)
+            report = modularity_report(net, result)
+            q_split = modularity_Q(net, CommunityAssignment(np.arange(5)[None]))
+        assert report.q == 0.0 and q_split == 0.0
+
+
+class TestAggregation:
+    def test_community_matrix_matches_dense_product(self):
+        rng = np.random.default_rng(4)
+        net = random_network(rng, 3, 6, gamma=np.array([1.0, 0.8, 1.2]),
+                             coupling=0.6)
+        mapping = rng.integers(0, 5, size=(3, 6))
+        mapping = np.unique(mapping, return_inverse=True)[1].reshape(3, 6)
+        n_comm = int(mapping.max()) + 1
+        onehot = np.zeros((18, n_comm))
+        onehot[np.arange(18), mapping.ravel()] = 1.0
+        pair, _ = reference_pair_matrix(net)
+        agg = _aggregate(modularity_blocks(net), net.coupling, mapping, n_comm)
+        assert agg.shape == (1, n_comm, n_comm + 2)
+        np.testing.assert_allclose(agg[0, :, 1:-1], onehot.T @ pair @ onehot,
+                                   rtol=0.0, atol=1e-12)
+        assert np.all(agg[0, :, [0, -1]] == 0.0)
+
+    @staticmethod
+    def assert_dense_moves_agree(net, start, seed):
+        # same visit order, same per-community sums bit for bit, same labels
+        dense = start.copy()
+        moved = dense_local_moves(dense_supra_matrix(net), dense,
+                                  np.random.default_rng(seed))
+        labels = _padded(start.reshape(net.n_layers, net.n_nodes))
+        weights = _move_weights(modularity_blocks(net), net.coupling)
+        assert _local_moves(weights, labels, np.random.default_rng(seed)) == moved
+        np.testing.assert_array_equal(labels[:, 1:-1].ravel(), dense)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_leaf_moves_equal_dense_row_moves(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, int(rng.integers(1, 5)), int(rng.integers(3, 9)),
+                             coupling=float(rng.uniform(0.0, 1.5)))
+        start = rng.integers(0, 4, size=net.n_layers * net.n_nodes)
+        self.assert_dense_moves_agree(net, start, seed)
+
+    def test_leaf_moves_open_new_communities(self):
+        # from one community, each clique in turn leaves for an unused label
+        a = np.zeros((9, 9))
+        for g in range(3):
+            a[3 * g:3 * g + 3, 3 * g:3 * g + 3] = 1.0 - np.eye(3)
+        net = LayeredNetwork(adjacency=np.stack([a, a]), gamma=3.0, coupling=0.2)
+        for seed in range(4):
+            self.assert_dense_moves_agree(net, np.zeros(18, dtype=int), seed)
 
 
 class TestLouvain:
@@ -142,6 +257,32 @@ class TestLouvain:
         r1 = louvain_optimize(net, seed=4)
         r2 = louvain_optimize(net, seed=4)
         assert np.array_equal(r1.labels, r2.labels)
+
+    def test_golden_labels(self):
+        # labels the dense supra-matrix implementation returned on these fixtures
+        found = louvain_optimize(window_fixture(), seed=0, restarts=4)
+        assert found.labels.tolist() == [[1, 1, 0, 0, 0, 0, 1, 0, 1, 1, 1, 1]] * 3
+        found = louvain_optimize(coupled_fixture(), seed=0, restarts=8)
+        assert found.labels.tolist() == [[0, 2, 0, 2, 2, 0, 2, 1]] * 2
+
+    def test_zero_restarts_rejected(self):
+        net = single_layer(two_cliques_layer())
+        for restarts in (0, -1):
+            with pytest.raises(ValueError, match="restarts"):
+                louvain_optimize(net, seed=0, restarts=restarts)
+
+    def test_memory_stays_below_the_dense_matrix(self):
+        # 32 layers x 64 nodes: the dense supra-matrix alone is 33.5 MB
+        v = np.random.default_rng(9).normal(size=(32 * 20, 64))
+        net = build_layers(v, window_steps=20, stride=20)
+        dense_bytes = (net.n_layers * net.n_nodes) ** 2 * 8
+        tracemalloc.start()
+        try:
+            louvain_optimize(net, seed=0, restarts=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 3
 
 
 class TestSetPartitions:
