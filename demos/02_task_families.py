@@ -6,6 +6,9 @@ All families share the stimulus (500 ms) / delay (1000 ms) / response
 what the response period demands (a one-hot choice vs. stimulus recall).
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from ipsnn.plasticity import FAMILIES, mask_for_family
@@ -36,8 +39,10 @@ print("\nCD-DMS reversal: same stimulus, cue 0 -> label "
       f"{plain.label}, cue 1 -> label {cued.label}")
 
 # tasks round-trip through the tensor container for fixture sharing
-export_task("/tmp/ipsnn_demo_task.tens", task)
-again = load_task("/tmp/ipsnn_demo_task.tens")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "task.tens")
+    export_task(path, task)
+    again = load_task(path)
 match = all(np.array_equal(a.inputs, b.inputs)
             for a, b in zip(task.trials, again.trials))
 print(f"container round-trip identical: {match}")

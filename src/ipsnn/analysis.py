@@ -197,8 +197,7 @@ def pca_delay(task_traces: list[list[np.ndarray]], schedule,
     Component signs are fixed (largest-magnitude loading positive) so
     repeated runs embed identically.
     """
-    lo = schedule.stimulus_steps
-    hi = lo + schedule.delay_steps
+    lo, hi = schedule.stimulus_steps, schedule.response_start
     per_task = [np.concatenate([np.asarray(tr, float)[lo:hi]
                                 for tr in trials], axis=0)
                 for trials in task_traces]

@@ -15,13 +15,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import analysis, manifest, modularity, tensorio, verification
 from .harness import ExperimentConfig, run_family, state_from_checkpoint
-from .plasticity import FAMILIES
+from .plasticity import FAMILIES, GROUP_NAMES
 from .tasks import PeriodSchedule, generate_task
 
 REQUIRED_CONFIG_KEYS = ("family", "convergence_threshold")
@@ -73,12 +73,7 @@ def _default_run_dir(config: ExperimentConfig) -> str:
 
 def _execute_run(config: ExperimentConfig, run_dir: str,
                  verbose: bool = False) -> tuple[int, str]:
-    os.makedirs(run_dir, exist_ok=True)
     config.output_dir = run_dir
-    # keep the exact resolved configuration next to the artifacts
-    with open(os.path.join(run_dir, manifest.CONFIG_COPY_NAME), "w") as fh:
-        json.dump(asdict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     try:
         metrics, run = run_family(config, log_fn=print if verbose else None)
@@ -95,11 +90,6 @@ def _execute_run(config: ExperimentConfig, run_dir: str,
                "early_stopped": run.early_stopped})
     return 0, (f"run complete: {len(run.outcomes)} tasks, "
                f"{metrics.failure_count} failures -> {run_dir}")
-
-
-def _seed_job(args):
-    config, run_dir = args
-    return _execute_run(config, run_dir)
 
 
 def cmd_train(args) -> int:
@@ -131,19 +121,17 @@ def cmd_train(args) -> int:
         return code
     # one independent, isolated run per seed through a bounded pool
     root = args.out or config.output_dir or _default_run_dir(config)
-    jobs = []
-    for seed in seeds:
-        cfg = replace(config, seed=seed, output_dir=None)
-        jobs.append((cfg, os.path.join(root, f"seed-{seed}")))
+    configs = [replace(config, seed=seed, output_dir=None) for seed in seeds]
+    dirs = [os.path.join(root, f"seed-{seed}") for seed in seeds]
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_seed_job, jobs))
+            results = list(pool.map(_execute_run, configs, dirs))
     else:
-        results = [_seed_job(j) for j in jobs]
+        results = list(map(_execute_run, configs, dirs))
     worst = 0
-    for (cfg, run_dir), (code, message) in zip(jobs, results):
-        print(f"[seed {cfg.seed}] {message}",
+    for seed, (code, message) in zip(seeds, results):
+        print(f"[seed {seed}] {message}",
               file=sys.stderr if code else sys.stdout)
         worst = max(worst, code)
     return worst
@@ -293,11 +281,10 @@ def _analyze_lesion(run_dir: str, cfg_hash: str, args) -> int:
                                  config.dt_ms)
     next_task = generate_task(config.family, extract_index + 1, config.seed,
                               config.dt_ms)
-    properties = args.property.split(",") if args.property else None
-    if properties is None:
-        properties = ["tau_d", "tau_s", "theta"]
-        if config.n_dendrites == 0:
-            properties.remove("tau_d")
+    if args.property:
+        properties = args.property.split(",")
+    else:  # every group the network has
+        properties = [g for g in GROUP_NAMES if g != "tau_d" or config.n_dendrites]
     rows = []
     for prop in properties:
         bins = analysis.bin_neurons(state.configured.props, prop)

@@ -116,6 +116,10 @@ class NetworkWeights:
             raise ValueError("w_out columns must match n_neurons")
 
 
+# The three plastic property groups, in learning-mask bit order.
+GROUP_NAMES = ("tau_d", "tau_s", "theta")
+
+
 @dataclass
 class IntrinsicProperties:
     """Per-neuron excitability parameters: the three plastic property groups."""
@@ -131,9 +135,6 @@ class IntrinsicProperties:
             raise ValueError("tau_s out of [0, 1]")
         if not np.all(np.isfinite(self.theta)):
             raise ValueError("theta must be finite")
-
-    def copy(self) -> "IntrinsicProperties":
-        return IntrinsicProperties(self.tau_d.copy(), self.tau_s.copy(), self.theta.copy())
 
 
 @dataclass
@@ -208,20 +209,6 @@ def noise_sequence(z: np.ndarray, config: NetworkConfig) -> np.ndarray:
     return out
 
 
-def spike_and_reset(v: np.ndarray, props: IntrinsicProperties,
-                    config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold crossing (inclusive) and reset of the crossing neurons."""
-    spikes = (v >= props.theta).astype(np.float64)
-    v_after = np.where(spikes > 0, config.v_reset, v)
-    return spikes, v_after
-
-
-def trace_step(trace: np.ndarray, spikes_prev: np.ndarray,
-               config: NetworkConfig) -> np.ndarray:
-    """Exponential smoothing of spiking activity (convex combination)."""
-    return config.alpha * trace + (1.0 - config.alpha) * spikes_prev
-
-
 def forward_trial(weights: NetworkWeights, props: IntrinsicProperties,
                   config: NetworkConfig, input_trial: np.ndarray,
                   rng: np.random.Generator | None = None,
@@ -284,13 +271,14 @@ def forward_trial(weights: NetworkWeights, props: IntrinsicProperties,
             v_d_hist[t] = v_d.T
             drive = v_d.sum(axis=0)
         v_pre = tau_s * v_post + leak_s * drive + noise[t]
-        if spike_mode == "hard":
-            spikes, v_post = spike_and_reset(v_pre, props, config)
+        if spike_mode == "hard":  # inclusive threshold; crossing neurons reset
+            spikes = (v_pre >= props.theta).astype(np.float64)
+            v_post = np.where(spikes > 0, config.v_reset, v_pre)
         else:
             spikes = 1.0 / (1.0 + np.exp(-(v_pre - props.theta) / smooth_width))
             v_post = v_pre + (config.v_reset - v_pre) * spikes
         emitted = spikes if keep is None else spikes * keep
-        trace = trace_step(trace, spikes_prev, config)
+        trace = config.alpha * trace + (1.0 - config.alpha) * spikes_prev
         spikes_prev = emitted
         v_hist[t] = v_pre
         spikes_hist[t] = emitted

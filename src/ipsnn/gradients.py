@@ -14,6 +14,11 @@ coefficients; the parameter gradients are reduced from them after it. Two modes:
 Key indexing constraint baked into the recursion: the trace at step t
 consumes the spikes of step t-1, so spike adjoints arrive one step late via
 the carry ``c_spike``, and the last step's spikes never receive gradient.
+
+``task_loss`` sums the terms of :mod:`ipsnn.objective` over a task's trials;
+``task_gradients`` differentiates them with the same definitions
+(``base_loss_grad``, ``weight_entry_count``) and zeroes the property groups
+(``GROUP_NAMES``) that the learning mask fixes.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import objective
-from .core import IntrinsicProperties, NetworkConfig, NetworkWeights, TrialRecording
+from .core import (GROUP_NAMES, IntrinsicProperties, NetworkConfig, NetworkWeights,
+                   TrialRecording)
 
 
 class GradientError(RuntimeError):
@@ -58,7 +64,8 @@ class GradientSet:
         return self
 
 
-_PARAM_NAMES = ("w_in", "w_rec", "w_out", "tau_d", "tau_s", "theta")
+_WEIGHT_NAMES = ("w_in", "w_rec", "w_out")
+_PARAM_NAMES = _WEIGHT_NAMES + GROUP_NAMES
 
 
 @dataclass
@@ -158,12 +165,6 @@ def adjoint_trial(rec: TrialRecording, weights: NetworkWeights,
         d_theta=-spike_terms.sum(axis=0))
 
 
-def _reg_count(w: np.ndarray) -> int:
-    # Branch-exclusive tensors have one real entry per (neuron, afferent)
-    # pair; the structural zeros are not counted.
-    return w.shape[-2] * w.shape[-1] if w.ndim == 3 else w.size
-
-
 def task_loss(recordings: list[TrialRecording], task, weights: NetworkWeights,
               loss_weights: objective.LossWeights, sigma_h_sq: float,
               trial_reduction: str = "mean") -> objective.LossBreakdown:
@@ -177,10 +178,9 @@ def task_loss(recordings: list[TrialRecording], task, weights: NetworkWeights,
             rec.readout, trial.targets, task.spec.loss_kind,
             schedule=task.schedule, label=trial.label)
     traces = np.stack([rec.trace for rec in recordings])
-    homeo = objective.homeostatic_loss(
-        traces, objective.HomeostaticTarget(sigma_h_sq))
-    reg_in = objective.weight_regularizer(weights.w_in, _reg_count(weights.w_in))
-    reg_rec = objective.weight_regularizer(weights.w_rec, _reg_count(weights.w_rec))
+    homeo = objective.homeostatic_loss(traces, sigma_h_sq)
+    reg_in = objective.weight_regularizer(weights.w_in)
+    reg_rec = objective.weight_regularizer(weights.w_rec)
     reg_out = objective.weight_regularizer(weights.w_out)
     return objective.total_loss(base, homeo, reg_in, reg_rec, reg_out, loss_weights)
 
@@ -219,20 +219,17 @@ def task_gradients(recordings: list[TrialRecording], task,
                               homeo_coeff * rec.trace, lesion_mask=lesion_mask)
         total = grads if total is None else total.add_(grads)
 
-    total.d_w_in += loss_weights.lambda_in * 2.0 * weights.w_in / _reg_count(weights.w_in)
-    total.d_w_rec += loss_weights.lambda_rec * 2.0 * weights.w_rec / _reg_count(weights.w_rec)
-    total.d_w_out += loss_weights.lambda_out * 2.0 * weights.w_out / weights.w_out.size
+    lambdas = (loss_weights.lambda_in, loss_weights.lambda_rec, loss_weights.lambda_out)
+    for name, lam in zip(_WEIGHT_NAMES, lambdas):
+        w, g = getattr(weights, name), getattr(total, "d_" + name)
+        g += lam * 2.0 * w / objective.weight_entry_count(w)
     if weights.mask_in is not None:
         total.d_w_in *= weights.mask_in
         total.d_w_rec *= weights.mask_rec
     if learning_mask is not None:
-        m1, m2, m3 = learning_mask.as_tuple()
-        if not m1:
-            total.d_tau_d[...] = 0.0
-        if not m2:
-            total.d_tau_s[...] = 0.0
-        if not m3:
-            total.d_theta[...] = 0.0
+        for group, bit in zip(GROUP_NAMES, learning_mask.as_tuple()):
+            if not bit:
+                getattr(total, "d_" + group)[...] = 0.0
     return breakdown, total.check_finite()
 
 

@@ -11,20 +11,21 @@ early after a configured number of consecutive task failures.
 from __future__ import annotations
 
 import csv
+import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import plasticity, tensorio
+from . import manifest, plasticity, tensorio
 from .core import NetworkConfig, NetworkWeights, forward_trial, init_weights
 from .gradients import (AdamState, DifferentiationMode, GradientError,
                         task_gradients, task_loss)
 from .objective import LossWeights, hidden_mean_square
 from .plasticity import CandidateProperties, ConfiguredProperties, LearningMask
-from .tasks import TaskInstance, generate_task
+from .tasks import PeriodSchedule, TaskInstance, generate_task
 
 DEFAULT_THRESHOLDS = {"DMS": 0.005, "CD-DMS": 0.005, "GNG-DR-2": 0.005,
                       "GNG-DR-4": 0.006}
@@ -89,6 +90,17 @@ class ExperimentConfig:
             raise ValueError("early_stop_failures must be positive")
         if self.n_dendrites not in (0, 2):
             raise ValueError("supported configurations use 0 or 2 dendrites")
+        if self.trial_reduction not in ("mean", "sum"):
+            raise ValueError("trial_reduction must be 'mean' or 'sum'")
+        if self.checkpoint_every < 1 or self.record_every < 1:
+            raise ValueError("checkpoint_every and record_every must be >= 1")
+        # the objects a run builds validate the rest of the values
+        self.network_config()
+        self.loss_weights()
+        self.diff_mode()
+        self.mask()
+        PeriodSchedule.from_dt(self.dt_ms)
+        AdamState(lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.adam_eps)
 
     @property
     def threshold(self) -> float:
@@ -246,6 +258,8 @@ def run_family(config: ExperimentConfig,
                log_fn=None) -> tuple[L2LMetrics, RunLog]:
     """Run the full sequential-task paradigm for one family and variant.
 
+    With ``config.output_dir`` set, the run directory first gets the exact
+    resolved configuration (``config.json``), which the analyses read back.
     ``metrics.csv`` gains one flushed row per finished task, so a run that
     raises keeps the rows of the tasks it finished.
     """
@@ -254,6 +268,9 @@ def run_family(config: ExperimentConfig,
     if out_dir:
         os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
         os.makedirs(os.path.join(out_dir, "recordings"), exist_ok=True)
+        with open(os.path.join(out_dir, manifest.CONFIG_COPY_NAME), "w") as fh:
+            json.dump(asdict(config), fh, indent=2, sort_keys=True)
+            fh.write("\n")
         events = open(os.path.join(out_dir, "events.log"), "w")
         metrics_fh = open(os.path.join(out_dir, "metrics.csv"), "w", newline="")
         metrics_csv = csv.writer(metrics_fh)

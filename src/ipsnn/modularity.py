@@ -56,12 +56,10 @@ class LayeredNetwork:
     def n_nodes(self) -> int:
         return self.adjacency.shape[1]
 
-    def total_coupling(self) -> float:
-        """Sum of C_jlr over nodes and ordered layer pairs."""
-        return 2.0 * self.coupling * self.n_nodes * max(self.n_layers - 1, 0)
-
     def two_mu(self) -> float:
-        return float(self.adjacency.sum() + self.total_coupling())
+        """Total edge weight plus C_jlr summed over nodes and ordered layer pairs."""
+        coupling = 2.0 * self.coupling * self.n_nodes * max(self.n_layers - 1, 0)
+        return float(self.adjacency.sum() + coupling)
 
 
 @dataclass

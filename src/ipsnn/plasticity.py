@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IntrinsicProperties, NetworkConfig, NetworkWeights
+from .core import GROUP_NAMES, IntrinsicProperties, NetworkConfig, NetworkWeights
 
 FAMILIES = ("DMS", "CD-DMS", "GNG-DR-2", "GNG-DR-4")
 
@@ -27,8 +27,6 @@ _FAMILY_MASKS = {
     "GNG-DR-2": (1, 1, 0),
     "GNG-DR-4": (1, 1, 1),
 }
-
-GROUP_NAMES = ("tau_d", "tau_s", "theta")
 
 
 @dataclass(frozen=True)
@@ -88,12 +86,9 @@ def configure(candidates: CandidateProperties, mask: LearningMask) -> Configured
     learnable group write through to the learnable bank while fixed groups
     stay bound to the untouched fixed bank.
     """
-    src = lambda bit: candidates.learnable_bank if bit else candidates.fixed_bank
-    props = IntrinsicProperties(
-        tau_d=src(mask.m1).tau_d,
-        tau_s=src(mask.m2).tau_s,
-        theta=src(mask.m3).theta,
-    )
+    props = IntrinsicProperties(*(
+        getattr(candidates.learnable_bank if bit else candidates.fixed_bank, group)
+        for group, bit in zip(GROUP_NAMES, mask.as_tuple())))
     return ConfiguredProperties(props=props, mask=mask)
 
 

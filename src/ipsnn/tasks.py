@@ -56,22 +56,19 @@ class PeriodSchedule:
                 raise ValueError("all periods need at least one step")
 
     @property
+    def response_start(self) -> int:
+        """First step of the response period (steps before it are stimulus+delay)."""
+        return self.stimulus_steps + self.delay_steps
+
+    @property
     def total_steps(self) -> int:
-        return self.stimulus_steps + self.delay_steps + self.response_steps
+        return self.response_start + self.response_steps
 
     @classmethod
     def from_dt(cls, dt_ms: float) -> "PeriodSchedule":
         return cls(int(round(STIMULUS_MS / dt_ms)),
                    int(round(DELAY_MS / dt_ms)),
                    int(round(RESPONSE_MS / dt_ms)))
-
-    def period_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Boolean step masks (stimulus, delay, response) tiling [0, T)."""
-        t = np.arange(self.total_steps)
-        stim = t < self.stimulus_steps
-        delay = (t >= self.stimulus_steps) & (t < self.stimulus_steps + self.delay_steps)
-        resp = t >= self.stimulus_steps + self.delay_steps
-        return stim, delay, resp
 
 
 @dataclass(frozen=True)
@@ -138,7 +135,7 @@ def _blank_trial(spec: TaskFamilySpec, schedule: PeriodSchedule) -> tuple[np.nda
     t = schedule.total_steps
     x = np.zeros((t, spec.input_dim))
     y = np.zeros((t, spec.output_dim))
-    sd = schedule.stimulus_steps + schedule.delay_steps
+    sd = schedule.response_start
     x[:sd, 0] = 1.0  # fixation input through stimulus+delay
     y[:sd, 0] = 1.0  # fixation target mirrors it
     return x, y
@@ -156,8 +153,7 @@ def gen_dms(task_index: int, spec: TaskFamilySpec, schedule: PeriodSchedule,
         stim = stimulus_sampler(seed, spec.stimulus_dim, spec.family, task_index, i)
         x, y = _blank_trial(spec, schedule)
         _place_stimulus(x, stim, schedule)
-        sd = schedule.stimulus_steps + schedule.delay_steps
-        y[sd:, 1 + i] = 1.0
+        y[schedule.response_start:, 1 + i] = 1.0
         trials.append(Trial(inputs=x, targets=y, label=i))
     return TaskInstance(spec.family, task_index, int(seed), schedule, spec, trials)
 
@@ -168,7 +164,7 @@ def gen_cddms(task_index: int, spec: TaskFamilySpec, schedule: PeriodSchedule,
     protos = [stimulus_sampler(seed, spec.stimulus_dim, spec.family, task_index, i)
               for i in range(2)]
     trials = []
-    sd = schedule.stimulus_steps + schedule.delay_steps
+    sd = schedule.response_start
     for i, stim in enumerate(protos):
         for cue in (0, 1):
             x, y = _blank_trial(spec, schedule)
@@ -188,7 +184,7 @@ def gen_gngdr(task_index: int, spec: TaskFamilySpec, schedule: PeriodSchedule,
     the response period; the no-go trial's response target stays at zero.
     """
     trials = []
-    sd = schedule.stimulus_steps + schedule.delay_steps
+    sd = schedule.response_start
     for trial_idx, is_go in enumerate((1, 0)):
         stim = stimulus_sampler(seed, spec.stimulus_dim, spec.family,
                                 task_index, trial_idx)

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import IntrinsicProperties, NetworkConfig, NetworkWeights
+from .core import GROUP_NAMES, IntrinsicProperties, NetworkConfig, NetworkWeights
 
 MAGIC = "ipsnn-tensors 1"
 
@@ -104,6 +104,9 @@ def _parse_container(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, meta
 
 
+_BANK_NAMES = ("learnable", "fixed")
+
+
 @dataclass
 class Checkpoint:
     """Everything needed to rebuild a network and resume at a task boundary."""
@@ -126,17 +129,10 @@ def save_checkpoint(path, config: NetworkConfig, weights: NetworkWeights,
     meta = {"kind": "checkpoint", **asdict(config),
             "mask_bits": list(mask_bits), "sigma_h_sq": sigma_h_sq}
     meta.update(extra_meta or {})
-    tensors = {
-        "w_in": weights.w_in,
-        "w_rec": weights.w_rec,
-        "w_out": weights.w_out,
-        "learnable.tau_d": learnable_bank.tau_d,
-        "learnable.tau_s": learnable_bank.tau_s,
-        "learnable.theta": learnable_bank.theta,
-        "fixed.tau_d": fixed_bank.tau_d,
-        "fixed.tau_s": fixed_bank.tau_s,
-        "fixed.theta": fixed_bank.theta,
-    }
+    tensors = {"w_in": weights.w_in, "w_rec": weights.w_rec, "w_out": weights.w_out}
+    for bank_name, bank in zip(_BANK_NAMES, (learnable_bank, fixed_bank)):
+        for group in GROUP_NAMES:
+            tensors[f"{bank_name}.{group}"] = getattr(bank, group)
     if weights.mask_in is not None:
         tensors["mask_in"] = weights.mask_in
         tensors["mask_rec"] = weights.mask_rec
@@ -155,6 +151,8 @@ def _required_keys(path):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint back. Missing keys, and weights or property banks
+    that fail their ``validate``, raise a ValueError that names the path."""
     tensors, meta = load_tensors(path)
     if meta.get("kind") != "checkpoint":
         raise ValueError(f"{path}: container is not a checkpoint")
@@ -164,14 +162,18 @@ def load_checkpoint(path) -> Checkpoint:
             w_in=tensors["w_in"], w_rec=tensors["w_rec"], w_out=tensors["w_out"],
             mask_in=tensors.get("mask_in"), mask_rec=tensors.get("mask_rec"),
         )
-        learnable = IntrinsicProperties(tensors["learnable.tau_d"],
-                                        tensors["learnable.tau_s"],
-                                        tensors["learnable.theta"])
-        fixed = IntrinsicProperties(tensors["fixed.tau_d"], tensors["fixed.tau_s"],
-                                    tensors["fixed.theta"])
-        return Checkpoint(config=config, weights=weights, learnable_bank=learnable,
-                          fixed_bank=fixed, mask_bits=tuple(meta["mask_bits"]),
-                          sigma_h_sq=meta["sigma_h_sq"], meta=meta)
+        learnable, fixed = (
+            IntrinsicProperties(*(tensors[f"{bank_name}.{group}"] for group in GROUP_NAMES))
+            for bank_name in _BANK_NAMES)
+        mask_bits, sigma_h_sq = tuple(meta["mask_bits"]), meta["sigma_h_sq"]
+    for what, item in zip(("weights",) + _BANK_NAMES, (weights, learnable, fixed)):
+        try:
+            item.validate()
+        except ValueError as err:
+            raise ValueError(f"{path}: invalid {what}: {err}") from err
+    return Checkpoint(config=config, weights=weights, learnable_bank=learnable,
+                      fixed_bank=fixed, mask_bits=mask_bits, sigma_h_sq=sigma_h_sq,
+                      meta=meta)
 
 
 def load_optimizer_moments(path) -> dict[str, np.ndarray]:

@@ -282,7 +282,7 @@ def check_generator_shapes() -> tuple[bool, str]:
         for trial in task.trials:
             if trial.inputs.shape != (t, in_dim) or trial.targets.shape != (t, out_dim):
                 return False, f"{family}: bad tensor shapes {trial.inputs.shape}"
-            sd = schedule.stimulus_steps + schedule.delay_steps
+            sd = schedule.response_start
             if not (np.all(trial.inputs[:sd, 0] == 1.0)
                     and np.all(trial.inputs[sd:, 0] == 0.0)):
                 return False, f"{family}: fixation channel malformed"

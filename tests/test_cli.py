@@ -83,6 +83,17 @@ class TestConfigValidation:
         path.write_text(json.dumps(bad))
         assert cli.main(["train", "--config", str(path), "--dry-run"]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("trial_reduction", "median"), ("surrogate_width", 0), ("lambda_h", -1),
+        ("alpha", 2.0), ("beta1", 1.5), ("n_neurons", 0), ("checkpoint_every", 0),
+        ("record_every", 0), ("dt_ms", 3000),
+    ])
+    def test_dry_run_rejects_what_the_run_rejects(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(TINY, **{key: value})))
+        assert cli.main(["train", "--config", str(path), "--dry-run"]) == 2
+        assert "config ok" not in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         assert cli.main(["train", "--config", "/nope.json", "--dry-run"]) == 2
 

@@ -6,7 +6,7 @@ import pytest
 from ipsnn import verification
 from ipsnn.core import (IntrinsicProperties, NetworkConfig, NetworkWeights,
                         forward_trial, init_weights, noise_sequence,
-                        noise_step, spike_and_reset, trace_step)
+                        noise_step)
 
 
 def make_props(n, d, tau_d=0.5, tau_s=0.5, theta=1.0):
@@ -176,38 +176,65 @@ class TestSomaStep:
         assert rec.v[0, 0] == pytest.approx(0.8, abs=1e-15)
 
 
+def two_steps(v0, theta):
+    """Spikes and pre-reset potentials of a point neuron with tau_s = 0.5,
+    driven to ``V(0) = v0`` and then left without drive, via forward_trial:
+    ``V(1) = 0.5 * V(0)`` unless step 0 spiked and reset it to 0."""
+    cfg = NetworkConfig(n_neurons=1, n_dendrites=0, v_reset=0.0,
+                        noise_enabled=False)
+    rec = forward_trial(point_weights(np.ones((1, 1))),
+                        make_props(1, 0, tau_s=0.5, theta=theta), cfg,
+                        np.array([[2.0 * v0], [0.0]]))
+    return rec.spikes[:, 0], rec.v[:, 0]
+
+
 class TestSpikeAndReset:
+    """S = 1[V >= theta] with reset of the crossing neurons, via forward_trial."""
+
     def test_above_threshold(self):
-        cfg = NetworkConfig(n_neurons=1, v_reset=0.0)
-        spikes, v = spike_and_reset(np.array([0.6]), make_props(1, 2, theta=0.5), cfg)
-        assert spikes[0] == 1.0 and v[0] == 0.0
+        spikes, v = two_steps(0.6, theta=0.5)
+        assert spikes[0] == 1.0 and v[1] == 0.0
 
     def test_threshold_is_inclusive(self):
-        cfg = NetworkConfig(n_neurons=1)
-        spikes, _ = spike_and_reset(np.array([0.5]), make_props(1, 2, theta=0.5), cfg)
+        spikes, _ = two_steps(0.5, theta=0.5)
         assert spikes[0] == 1.0
 
     def test_subthreshold_untouched(self):
-        cfg = NetworkConfig(n_neurons=1)
-        spikes, v = spike_and_reset(np.array([0.49]), make_props(1, 2, theta=0.5), cfg)
-        assert spikes[0] == 0.0 and v[0] == 0.49
+        spikes, v = two_steps(0.49, theta=0.5)
+        assert spikes[0] == 0.0 and v[0] == 0.49 and v[1] == 0.245
+
+
+def trace_after(alpha, spike_steps, n_steps):
+    """Trace of one neuron that spikes exactly at ``spike_steps`` (a memoryless
+    soma driven above or below threshold), via forward_trial."""
+    cfg = NetworkConfig(n_neurons=1, n_dendrites=0, alpha=alpha,
+                        noise_enabled=False)
+    x = np.zeros((n_steps, 1))
+    x[list(spike_steps)] = 1.0
+    rec = forward_trial(point_weights(np.ones((1, 1))),
+                        make_props(1, 0, tau_s=0.0, theta=0.5), cfg, x)
+    assert np.array_equal(np.flatnonzero(rec.spikes[:, 0]), sorted(spike_steps))
+    return rec.trace[:, 0]
 
 
 class TestTraceStep:
+    """M(t) = alpha M(t-1) + (1 - alpha) S(t-1), via forward_trial."""
+
     def test_spike_jump(self):
-        cfg = NetworkConfig(n_neurons=1, alpha=0.01)
-        out = trace_step(np.array([0.0]), np.array([1.0]), cfg)
-        assert out[0] == pytest.approx(0.99, abs=1e-15)
+        trace = trace_after(0.01, [0], 2)
+        assert trace[0] == 0.0
+        assert trace[1] == pytest.approx(0.99, abs=1e-15)
 
     def test_no_spike_decay(self):
-        cfg = NetworkConfig(n_neurons=1, alpha=0.01)
-        out = trace_step(np.array([0.7]), np.array([0.0]), cfg)
-        assert out[0] == pytest.approx(0.007, abs=1e-15)
+        # M(1) = 0.7 after one spike at alpha = 0.3; M(2) = 0.3 * 0.7
+        trace = trace_after(0.3, [0], 3)
+        assert trace[1] == pytest.approx(0.7, abs=1e-15)
+        assert trace[2] == pytest.approx(0.21, abs=1e-15)
 
     def test_fixed_point(self):
-        cfg = NetworkConfig(n_neurons=1, alpha=0.3)
-        out = trace_step(np.array([1.0]), np.array([1.0]), cfg)
-        assert out[0] == 1.0
+        # spiking at every step, M(t) = 1 - alpha^t approaches the fixed point 1
+        trace = trace_after(0.3, range(6), 6)
+        assert np.allclose(trace, 1.0 - 0.3 ** np.arange(6), rtol=0, atol=1e-15)
 
 
 class TestReadout:

@@ -1,5 +1,7 @@
 """Sequential-task driver: convergence rules, carry-over, metrics, artifacts."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from ipsnn import harness
 from ipsnn.harness import (ExperimentConfig, TaskOutcome, build_state,
                            compute_metrics, run_ablation_grid, run_family,
                            run_inner_task, state_from_checkpoint)
-from ipsnn.core import forward_trial
+from ipsnn.core import GROUP_NAMES, forward_trial
 from ipsnn.gradients import GradientError
 from ipsnn.tasks import generate_task
 from ipsnn.tensorio import load_checkpoint, load_recording
@@ -109,12 +111,12 @@ class TestRunFamily:
     def test_fixed_bank_bit_frozen_over_training(self):
         config = tiny(n_tasks=2, max_iters=6, min_iters=1)
         state = build_state(config)
-        frozen = state.candidates.fixed_bank.copy()
+        frozen = copy.deepcopy(state.candidates.fixed_bank)
         for i in range(2):
             task = generate_task(config.family, i, config.seed, config.dt_ms)
             run_inner_task(state, task, config)
             state.sigma_h_sq = state.last_mean_sq
-        for name in ("tau_d", "tau_s", "theta"):
+        for name in GROUP_NAMES:
             assert np.array_equal(getattr(state.candidates.fixed_bank, name),
                                   getattr(frozen, name)), name
 
@@ -284,6 +286,18 @@ class TestAblationGrid:
         assert grid_metrics.failure_count == plain_metrics.failure_count
         assert grid_metrics.adaptation_speed == plain_metrics.adaptation_speed
         assert (tmp_path / "grid" / "ablation.csv").exists()
+
+    def test_grid_directories_can_be_analysed(self, tmp_path):
+        from ipsnn import cli
+
+        grid = tmp_path / "grid"
+        run_ablation_grid(tiny(n_tasks=2, max_iters=4, min_iters=1,
+                               output_dir=str(grid)), [(1, 1, 0)])
+        run_dir = str(grid / "mask_110")
+        assert cli.main(["analyze", "stats", "--run", run_dir]) == 0
+        assert cli.main(["analyze", "lesion", "--run", run_dir,
+                         "--property", "tau_s"]) == 0
+        assert (grid / "mask_110" / "lesion.csv").exists()
 
     def test_rows_sorted_by_failures_then_efficiency(self):
         base = tiny(n_tasks=2, max_iters=4, min_iters=1,

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from ipsnn.objective import (HomeostaticTarget, LossWeights, base_loss,
-                             base_loss_grad, homeostatic_loss, total_loss,
-                             weight_regularizer)
+from ipsnn.objective import (LossWeights, base_loss, base_loss_grad,
+                             homeostatic_loss, total_loss, weight_regularizer)
 from ipsnn.tasks import PeriodSchedule
 
 
@@ -54,6 +53,16 @@ class TestBaseLoss:
         with pytest.raises(ValueError):
             base_loss(np.zeros((2, 2)), np.zeros((2, 3)), "MSE")
 
+    @pytest.mark.parametrize("fn", [base_loss, base_loss_grad])
+    def test_grad_shares_validation(self, fn):
+        # a [T, 3] readout against a [T, 1] target is rejected by both
+        with pytest.raises(ValueError, match="readout"):
+            fn(np.zeros((20, 3)), np.zeros((20, 1)), "MSE")
+        with pytest.raises(ValueError, match="schedule"):
+            fn(np.zeros((20, 3)), np.zeros((20, 3)), "CE")
+        with pytest.raises(ValueError, match="huber"):
+            fn(np.zeros((2, 2)), np.zeros((2, 2)), "huber")
+
     @pytest.mark.parametrize("kind,label", [("MSE", None), ("CE", 1)])
     def test_grad_matches_finite_differences(self, kind, label):
         rng = np.random.default_rng(3)
@@ -75,25 +84,24 @@ class TestBaseLoss:
 
 class TestHomeostatic:
     def test_cold_network_at_zero_target(self):
-        assert homeostatic_loss(np.zeros((4, 8)), HomeostaticTarget(0.0)) == 0.0
+        assert homeostatic_loss(np.zeros((4, 8)), 0.0) == 0.0
 
     def test_saturated_activity(self):
-        assert homeostatic_loss(np.ones((3, 5)), HomeostaticTarget(0.0)) == 1.0
+        assert homeostatic_loss(np.ones((3, 5)), 0.0) == 1.0
 
     def test_zero_at_target(self):
         h = np.full((2, 6), 0.2)
-        assert homeostatic_loss(h, HomeostaticTarget(0.04)) == pytest.approx(0.0)
+        assert homeostatic_loss(h, 0.04) == pytest.approx(0.0)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             h = rng.uniform(size=(3, 7))
-            tgt = HomeostaticTarget(float(rng.uniform(0, 1)))
-            assert homeostatic_loss(h, tgt) >= 0.0
+            assert homeostatic_loss(h, float(rng.uniform(0, 1))) >= 0.0
 
     def test_target_rejects_negative(self):
-        with pytest.raises(ValueError):
-            HomeostaticTarget(-0.1)
+        with pytest.raises(ValueError, match="sigma_h_sq"):
+            homeostatic_loss(np.zeros((2, 3)), -0.1)
 
 
 class TestWeightRegularizer:
@@ -109,8 +117,10 @@ class TestWeightRegularizer:
             9.0 * weight_regularizer(w))
 
     def test_count_override(self):
-        w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert weight_regularizer(w, count=2) == 1.0
+        # a branch-exclusive [D, n, m] tensor averages over its n * m real
+        # entries, not over the D * n * m slots holding structural zeros
+        w = np.array([[[1.0, 0.0]], [[0.0, -1.0]]])
+        assert weight_regularizer(w) == 1.0
 
 
 class TestTotalLoss:
@@ -142,4 +152,7 @@ class TestTotalLoss:
 
 class TestHomeostaticUpdate:
     def test_starts_at_zero(self):
-        assert HomeostaticTarget().sigma_h_sq == 0.0
+        from ipsnn.harness import ExperimentConfig, build_state
+
+        config = ExperimentConfig("GNG-DR-2", n_neurons=4, dt_ms=100.0)
+        assert build_state(config).sigma_h_sq == 0.0

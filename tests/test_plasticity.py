@@ -1,5 +1,6 @@
 """Mask configuration and the one optimizer pass over weights and properties."""
 
+import copy
 import itertools
 
 import numpy as np
@@ -161,8 +162,8 @@ class TestApplyUpdate:
     def test_every_mask_steps_exactly_weights_and_learnable_groups(self, weights):
         for bits in itertools.product((0, 1), repeat=3):
             banks = make_banks()
-            learnable0 = banks.learnable_bank.copy()
-            fixed0 = banks.fixed_bank.copy()
+            learnable0 = copy.deepcopy(banks.learnable_bank)
+            fixed0 = copy.deepcopy(banks.fixed_bank)
             cfg = configure(banks, LearningMask(*bits))
             adam = AdamState(lr=0.01)
             apply_update(weights, cfg,

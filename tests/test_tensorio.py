@@ -142,6 +142,23 @@ class TestCheckpoint:
         assert np.array_equal(a.readout, b.readout)
         assert np.array_equal(a.v, b.v)
 
+    @pytest.mark.parametrize("broken, match", [("w_rec", "masked-out"),
+                                               ("tau_s", "tau_s")])
+    def test_invalid_contents_rejected(self, tmp_path, broken, match):
+        config = NetworkConfig(n_neurons=4, rng_seed=0)
+        weights = init_weights(config, 2, 2, seed=1)
+        learnable = default_learnable_bank(config, 2)
+        if broken == "w_rec":  # a weight on a branch its mask leaves out
+            weights.w_rec[tuple(np.argwhere(weights.mask_rec == 0)[0])] = 0.1
+        else:
+            learnable.tau_s[0] = 1.5
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, config, weights, learnable,
+                        default_fixed_bank(config, 3), (1, 1, 0), 0.0)
+        with pytest.raises(ValueError, match=match) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "x.tens"
         save_tensors(path, {"a": np.ones(1)}, {"kind": "other"})
